@@ -6,7 +6,7 @@
 //! * `dc_pair` — one pair at a time: the exact cubic DP vs the bounded
 //!   engine under a rejecting budget (gates fire, DP skipped) and an
 //!   accepting budget (banded DP runs);
-//! * `dc_linear_scan` — `linear_nn` over a dictionary with the pruned
+//! * `dc_linear_scan` — `LinearIndex` NN over a dictionary with the pruned
 //!   engine vs the [`Unpruned`] full-evaluation baseline, i.e. what a
 //!   `d_C` serving scan actually pays;
 //! * `dc_laesa` — the same contrast inside LAESA, where the triangle

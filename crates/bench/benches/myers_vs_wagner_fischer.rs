@@ -102,7 +102,7 @@ fn bench_batch_pipeline(c: &mut Criterion) {
         })
     });
     // The full production path: prepared + bounded early exit against
-    // the running best (what linear_nn does internally now).
+    // the running best (what `LinearIndex` does internally).
     let linear = LinearIndex::new(dict.clone());
     let opts = QueryOptions::new();
     group.bench_function("scan/prepared_bounded_nn", |b| {

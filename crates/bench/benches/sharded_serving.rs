@@ -1,6 +1,6 @@
 //! Throughput of the sharded serving layer (`cned-serve`): shard
 //! builds, batch NN serving across shard/worker counts, trait-object
-//! dispatch overhead, and the mixed query/insert pipeline.
+//! dispatch overhead, and a mixed query queue through a serve session.
 //!
 //! Four groups:
 //! * `sharded_build` — `ShardedIndex::try_build` vs shard count
@@ -19,10 +19,10 @@
 //!   the claim that the indirection is in the noise (<2%): one
 //!   virtual call per query against thousands of distance
 //!   computations;
-//! * `pipeline_mixed` — `QueryPipeline::run` over a mixed
-//!   NN/k-NN/range queue on a pre-built index (inserts are exercised
-//!   by the test suite; timing them would mutate the index across
-//!   iterations).
+//! * `session_mixed` — a mixed NN/k-NN/range queue submitted to a
+//!   `ServeSession` over a pre-built index, every ticket waited on in
+//!   order (inserts are exercised by the test suite; timing them would
+//!   mutate the index across iterations).
 //!
 //! After the timed groups the bench replays one batch per shard count
 //! and reports total distance computations, making the "bound
@@ -40,7 +40,10 @@ use cned_datasets::dictionary::spanish_dictionary;
 use cned_datasets::perturb::{gen_queries, ASCII_LOWER};
 use cned_search::parallel::set_thread_override;
 use cned_search::{MetricIndex, QueryOptions};
-use cned_serve::{QueryPipeline, Request, ShardConfig, ShardedIndex};
+use cned_serve::{
+    Request, Response, ServeSession, SessionConfig, ShardConfig, ShardedIndex, Ticket,
+};
+use std::sync::Arc;
 
 fn fast() -> bool {
     std::env::var("CNED_BENCH_FAST").is_ok_and(|v| v != "0")
@@ -178,7 +181,7 @@ fn bench_dispatch(c: &mut Criterion) {
     }
 }
 
-fn bench_pipeline(c: &mut Criterion) {
+fn bench_session(c: &mut Criterion) {
     let (db, queries) = data();
     let requests: Vec<Request<u8>> = queries
         .iter()
@@ -195,8 +198,17 @@ fn bench_pipeline(c: &mut Criterion) {
             _ => Request::Nn { query: q.clone() },
         })
         .collect();
-    let mut pipeline = QueryPipeline::new(build(&db, 4));
-    let mut group = c.benchmark_group("pipeline_mixed");
+    // Unbounded admission: each iteration submits the whole queue.
+    let config = SessionConfig::new().queue_depth(usize::MAX);
+    let session = ServeSession::spawn_with(build(&db, 4), Arc::new(Levenshtein), config);
+    let run = || -> Vec<Response> {
+        let tickets: Vec<Ticket> = requests
+            .iter()
+            .map(|r| session.submit(r.clone()).expect("unbounded session"))
+            .collect();
+        tickets.into_iter().map(Ticket::wait).collect()
+    };
+    let mut group = c.benchmark_group("session_mixed");
     group
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
@@ -204,11 +216,12 @@ fn bench_pipeline(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
             set_thread_override(Some(t));
-            b.iter(|| black_box(pipeline.run(&requests, &Levenshtein)));
+            b.iter(|| black_box(run()));
             set_thread_override(None);
         });
     }
     group.finish();
+    session.shutdown();
 }
 
 criterion_group!(
@@ -216,6 +229,6 @@ criterion_group!(
     bench_build,
     bench_nn_batch,
     bench_dispatch,
-    bench_pipeline
+    bench_session
 );
 criterion_main!(benches);

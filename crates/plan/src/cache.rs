@@ -45,10 +45,10 @@
 //! LRU (hash-keyed lookups plus an explicit intrusive list — nothing
 //! ever iterates a hash map).
 
-use cned_core::metric::Distance;
+use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 use cned_search::{
-    InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
+    AnyCollector, InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
 };
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -447,6 +447,17 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
 
     fn item(&self, i: usize) -> Option<&[S]> {
         self.inner.item(i)
+    }
+
+    /// The uncached search loop of the wrapped index (the cache sits
+    /// in front of whole answers, in `nn`/`knn`/`range`).
+    fn search(
+        &self,
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        self.inner.search(prepared, collector, pivot_budget)
     }
 
     fn nn(

@@ -11,11 +11,12 @@
 //! (Rico-Juan & Micó compare AESA and LAESA with string edit
 //! distances).
 
+use crate::collect::{AnyCollector, Collector};
 use crate::error::SearchError;
-use crate::index::{MetricIndex, QueryOptions};
+use crate::index::MetricIndex;
 use crate::parallel::par_map;
 use crate::tombstone::TombstoneSet;
-use crate::{sanitise_distance, Neighbour, SearchStats};
+use crate::{sanitise_distance, SearchStats};
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 
@@ -67,71 +68,35 @@ impl<S: Symbol> Aesa<S> {
         self.preprocessing_computations
     }
 
-    /// Nearest neighbour of `query`; every computed element updates
-    /// every candidate's lower bound.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_prepared(&*prepared, f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// Nearest neighbour **within `radius`** of an already-prepared
-    /// query: `Some(nb)` with `nb.distance <= radius` (ties towards
-    /// the smallest index), or `None` when no element lies within the
-    /// radius. The statistics are returned either way.
+    /// The search loop: every element it evaluates is offered to
+    /// `collector` (see [`crate::collect`]).
     ///
     /// Every computed element is a pivot in AESA — its exact distance
     /// tightens all remaining lower bounds — so unlike LAESA there is
-    /// no bounded-evaluation shortcut to take here; the radius seed
-    /// still pays off through earlier candidate elimination.
-    pub fn nn_prepared(
+    /// no bounded-evaluation shortcut to take here; a finite radius
+    /// still pays off through earlier candidate elimination. The next
+    /// element evaluated is always the live one with the minimal
+    /// (lower bound, index).
+    fn search_with<C: Collector>(
         &self,
         prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
+        collector: &mut C,
+    ) -> SearchStats {
         let n = self.db.len();
-        if n == 0 {
-            return (None, SearchStats::default());
-        }
         let mut alive = vec![true; n];
         let mut lower = vec![0.0f64; n];
         let mut n_alive = n;
         let mut computations = 0u64;
-        // The radius doubles as a virtual incumbent (usize::MAX loses
-        // every index tie-break; an infinite distance never wins one).
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-        let mut selected = Some(0usize);
+        let mut selected = (n > 0).then_some(0usize);
 
         while let Some(s) = selected.take() {
             let d = sanitise_distance(prepared.distance_to(&self.db[s]));
             computations += 1;
-            let candidate = Neighbour {
-                index: s,
-                distance: d,
-            };
-            // Canonical tie-break: equal distances resolve to the
-            // smallest index, matching linear/LAESA/sharded paths.
-            if candidate.better_than(&best) {
-                best = candidate;
-            }
+            collector.offer(s, d);
             alive[s] = false;
             n_alive -= 1;
 
-            // Every computed element is a pivot in AESA.
+            let bound = collector.budget() + crate::ELIMINATION_SLACK;
             let row = &self.matrix[s * n..(s + 1) * n];
             let mut next: Option<(usize, f64)> = None;
             for u in 0..n {
@@ -142,7 +107,7 @@ impl<S: Symbol> Aesa<S> {
                 if g > lower[u] {
                     lower[u] = g;
                 }
-                if lower[u] > best.distance + crate::ELIMINATION_SLACK {
+                if lower[u] > bound {
                     alive[u] = false;
                     n_alive -= 1;
                 } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
@@ -169,196 +134,9 @@ impl<S: Symbol> Aesa<S> {
             };
         }
 
-        let found = (best.index != usize::MAX).then_some(best);
-        (
-            found,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// The `k` nearest neighbours **within `radius`** of an
-    /// already-prepared query, in the canonical (distance, index)
-    /// order. Same machinery as [`Aesa::nn_prepared`] but elimination
-    /// uses the running `k`-th-best distance.
-    pub fn knn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let n = self.db.len();
-        if n == 0 || k == 0 {
-            return (Vec::new(), SearchStats::default());
+        SearchStats {
+            distance_computations: computations,
         }
-        let mut alive = vec![true; n];
-        let mut lower = vec![0.0f64; n];
-        let mut n_alive = n;
-        let mut computations = 0u64;
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
-        let kth = |best: &Vec<Neighbour>| -> f64 {
-            if best.len() < k {
-                radius
-            } else {
-                best[k - 1].distance
-            }
-        };
-        let mut selected = Some(0usize);
-
-        while let Some(s) = selected.take() {
-            let d = sanitise_distance(prepared.distance_to(&self.db[s]));
-            computations += 1;
-            if d.is_finite() && d <= radius {
-                let candidate = Neighbour {
-                    index: s,
-                    distance: d,
-                };
-                let pos = best
-                    .binary_search_by(|nb| nb.ordering(&candidate))
-                    .unwrap_or_else(|e| e);
-                best.insert(pos, candidate);
-                best.truncate(k);
-            }
-            alive[s] = false;
-            n_alive -= 1;
-
-            let bound = kth(&best);
-            let row = &self.matrix[s * n..(s + 1) * n];
-            let mut next: Option<(usize, f64)> = None;
-            for u in 0..n {
-                if !alive[u] {
-                    continue;
-                }
-                let g = (d - row[u]).abs();
-                if g > lower[u] {
-                    lower[u] = g;
-                }
-                if lower[u] > bound + crate::ELIMINATION_SLACK {
-                    alive[u] = false;
-                    n_alive -= 1;
-                } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
-                    next = Some((u, lower[u]));
-                }
-            }
-            if n_alive == 0 {
-                break;
-            }
-            selected = match next {
-                Some((u, _)) if alive[u] => Some(u),
-                _ => {
-                    let mut fallback: Option<(usize, f64)> = None;
-                    for u in 0..n {
-                        if alive[u] && fallback.is_none_or(|(_, bg)| lower[u] < bg) {
-                            fallback = Some((u, lower[u]));
-                        }
-                    }
-                    fallback.map(|(u, _)| u)
-                }
-            };
-        }
-
-        (
-            best,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// Every element **within `radius`** (inclusive) of an
-    /// already-prepared query, in canonical order. The radius never
-    /// shrinks, so elimination is against a fixed bound: each computed
-    /// element's exact distance answers its own membership and
-    /// tightens every survivor's lower bound.
-    pub fn range_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let n = self.db.len();
-        let mut alive = vec![true; n];
-        let mut lower = vec![0.0f64; n];
-        let mut n_alive = n;
-        let mut computations = 0u64;
-        let mut hits: Vec<Neighbour> = Vec::new();
-        let mut selected = (n > 0).then_some(0usize);
-
-        while let Some(s) = selected.take() {
-            let d = sanitise_distance(prepared.distance_to(&self.db[s]));
-            computations += 1;
-            if d.is_finite() && d <= radius {
-                hits.push(Neighbour {
-                    index: s,
-                    distance: d,
-                });
-            }
-            alive[s] = false;
-            n_alive -= 1;
-
-            let row = &self.matrix[s * n..(s + 1) * n];
-            let mut next: Option<(usize, f64)> = None;
-            for u in 0..n {
-                if !alive[u] {
-                    continue;
-                }
-                let g = (d - row[u]).abs();
-                if g > lower[u] {
-                    lower[u] = g;
-                }
-                if lower[u] > radius + crate::ELIMINATION_SLACK {
-                    alive[u] = false;
-                    n_alive -= 1;
-                } else if next.is_none_or(|(_, bg)| lower[u] < bg) {
-                    next = Some((u, lower[u]));
-                }
-            }
-            if n_alive == 0 {
-                break;
-            }
-            selected = match next {
-                Some((u, _)) if alive[u] => Some(u),
-                _ => {
-                    let mut fallback: Option<(usize, f64)> = None;
-                    for u in 0..n {
-                        if alive[u] && fallback.is_none_or(|(_, bg)| lower[u] < bg) {
-                            fallback = Some((u, lower[u]));
-                        }
-                    }
-                    fallback.map(|(u, _)| u)
-                }
-            };
-        }
-
-        hits.sort_by(|a, b| a.ordering(b));
-        (
-            hits,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// `nn` for a batch of queries, parallelised across queries (each
-    /// worker prepares its query once). Returns `None` on an empty
-    /// database, mirroring the single-query API.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-    ) -> Option<Vec<(Neighbour, SearchStats)>> {
-        if self.db.is_empty() {
-            return None;
-        }
-        Some(par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            let (best, stats) = self.nn_prepared(&*prepared, f64::INFINITY);
-            (best.expect("database checked non-empty"), stats)
-        }))
     }
 }
 
@@ -375,68 +153,16 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
+    fn search(
         &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        _pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        match collector {
+            AnyCollector::TopK(c) => self.search_with(prepared, c),
+            AnyCollector::Within(c) => self.search_with(prepared, c),
         }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_prepared(&*prepared, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_prepared(&*prepared, want, radius);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
-    fn knn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_prepared(&*prepared, want, radius);
-        self.tombstones.retain_live(&mut best);
-        best.truncate(opts.k);
-        opts.record(stats);
-        Ok((best, stats))
-    }
-
-    fn range(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_prepared(&*prepared, radius);
-        self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
-        Ok((hits, stats))
     }
 
     fn delete(&mut self, index: usize) -> Result<bool, SearchError> {
@@ -457,16 +183,26 @@ impl<S: Symbol> MetricIndex<S> for Aesa<S> {
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the deprecated forwarders' behaviour (they share
-    // cores with the MetricIndex path) until the legacy surface is
-    // removed.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::index::QueryOptions;
     use crate::laesa::Laesa;
-    use crate::linear::linear_nn;
+    use crate::linear::LinearIndex;
     use crate::pivots::select_pivots_max_sum;
+    use crate::Neighbour;
     use cned_core::levenshtein::Levenshtein;
+
+    fn nn_with(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        opts: &QueryOptions,
+    ) -> (Option<Neighbour>, SearchStats) {
+        idx.nn(q, &Levenshtein, opts).unwrap()
+    }
+
+    fn nn(idx: &dyn MetricIndex<u8>, q: &[u8]) -> (Neighbour, SearchStats) {
+        let (nb, stats) = nn_with(idx, q, &QueryOptions::new());
+        (nb.expect("infinite radius always finds"), stats)
+    }
 
     fn corpus(n: usize, len: usize, alphabet: u8, seed: u64) -> Vec<Vec<u8>> {
         let mut state = seed | 1;
@@ -487,9 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn empty_db_returns_none() {
+    fn empty_db_is_a_typed_error() {
         let idx: Aesa<u8> = Aesa::build(Vec::new(), &Levenshtein);
-        assert!(idx.nn(b"x", &Levenshtein).is_none());
+        assert_eq!(
+            idx.nn(b"x", &Levenshtein, &QueryOptions::new()),
+            Err(SearchError::EmptyDatabase)
+        );
     }
 
     #[test]
@@ -505,8 +244,8 @@ mod tests {
         let queries = corpus(30, 9, 3, 191);
         let idx = Aesa::build(db.clone(), &Levenshtein);
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q);
+            let (a_nn, _) = nn(&idx, q);
             assert_eq!(a_nn.distance, l_nn.distance, "query {q:?}");
         }
     }
@@ -517,11 +256,11 @@ mod tests {
         let queries = corpus(25, 10, 3, 291);
         let aesa = Aesa::build(db.clone(), &Levenshtein);
         let pivots = select_pivots_max_sum(&db, 12, 0, &Levenshtein);
-        let laesa = Laesa::build(db, pivots, &Levenshtein);
+        let laesa = Laesa::try_build(db, pivots, &Levenshtein).unwrap();
         let (mut a_total, mut l_total) = (0u64, 0u64);
         for q in &queries {
-            a_total += aesa.nn(q, &Levenshtein).unwrap().1.distance_computations;
-            l_total += laesa.nn(q, &Levenshtein).unwrap().1.distance_computations;
+            a_total += nn(&aesa, q).1.distance_computations;
+            l_total += nn(&laesa, q).1.distance_computations;
         }
         assert!(
             a_total <= l_total,
@@ -534,7 +273,7 @@ mod tests {
         let db = corpus(150, 8, 3, 41);
         let probe = db[42].clone();
         let idx = Aesa::build(db, &Levenshtein);
-        let (nn, stats) = idx.nn(&probe, &Levenshtein).unwrap();
+        let (nn, stats) = nn(&idx, &probe);
         assert_eq!(nn.distance, 0.0);
         assert!(stats.distance_computations < 150);
     }
@@ -544,19 +283,22 @@ mod tests {
         let db = corpus(80, 9, 3, 47);
         let queries = corpus(15, 9, 3, 471);
         let idx = Aesa::build(db, &Levenshtein);
-        let batch = idx.nn_batch(&queries, &Levenshtein).unwrap();
-        for (q, (nn, stats)) in queries.iter().zip(&batch) {
-            let (snn, sstats) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(nn.distance, snn.distance, "query {q:?}");
-            assert_eq!(stats.distance_computations, sstats.distance_computations);
+        let opts = QueryOptions::new();
+        let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
+        for (q, (found, stats)) in queries.iter().zip(&batch) {
+            let (snn, sstats) = nn(&idx, q);
+            assert_eq!(found.unwrap().distance, snn.distance, "query {q:?}");
+            assert_eq!(*stats, sstats);
         }
         let empty: Aesa<u8> = Aesa::build(Vec::new(), &Levenshtein);
-        assert!(empty.nn_batch(&queries, &Levenshtein).is_none());
+        assert_eq!(
+            empty.nn_batch(&queries, &Levenshtein, &opts).unwrap_err(),
+            SearchError::EmptyDatabase
+        );
     }
 
     #[test]
     fn knn_and_range_match_linear_oracles() {
-        use crate::index::{MetricIndex, QueryOptions};
         let db = corpus(90, 9, 3, 61);
         let queries = corpus(15, 9, 3, 611);
         let idx = Aesa::build(db.clone(), &Levenshtein);
@@ -595,15 +337,14 @@ mod tests {
         let db = corpus(60, 8, 3, 67);
         let idx = Aesa::build(db.clone(), &Levenshtein);
         for q in corpus(8, 8, 3, 671) {
-            let prepared = cned_core::metric::Distance::<u8>::prepare(&Levenshtein, &q);
-            let (nb, _) = idx.nn_prepared(&*prepared, f64::INFINITY);
-            let nb = nb.unwrap();
-            let (at, _) = idx.nn_prepared(&*prepared, nb.distance);
+            let (nb, _) = nn(&idx, &q);
+            let (at, _) = nn_with(&idx, &q, &QueryOptions::new().radius(nb.distance));
             let at = at.unwrap();
             assert_eq!((at.index, at.distance), (nb.index, nb.distance));
             if nb.distance > 0.0 {
-                let (below, _) = idx.nn_prepared(&*prepared, nb.distance - 0.5);
-                assert!(below.is_none(), "query {q:?}");
+                let below = QueryOptions::new().radius(nb.distance - 0.5);
+                let (found, _) = nn_with(&idx, &q, &below);
+                assert!(found.is_none(), "query {q:?}");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Typed errors for index construction and queries.
 //!
-//! Before the unified query API, misuse panicked (`Laesa::build` pivot
-//! asserts) or vanished into `Option`s (`None` on an empty database).
 //! Every public entry point of the [`MetricIndex`](crate::MetricIndex)
-//! surface now reports failure through [`SearchError`] instead, so
-//! serving layers can turn misuse into a response rather than a crash.
+//! surface, and every index constructor, reports misuse — a bad pivot
+//! set, an empty database, a NaN radius — through [`SearchError`]
+//! rather than a panic or an empty `Option`, so serving layers can turn
+//! misuse into a response rather than a crash.
 
 use core::fmt;
 

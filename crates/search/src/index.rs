@@ -15,11 +15,33 @@
 //! positional arguments, and every entry point returns
 //! `Result<_, `[`SearchError`]`>` — an empty database or a NaN radius
 //! is a typed error, not a panic or a silent `None`.
+//!
+//! ## One search loop per backend
+//!
+//! Following Chávez et al. (2001), every query is a range search whose
+//! radius may shrink as answers arrive. A backend therefore implements
+//! a single search loop, [`MetricIndex::search`], generic over a
+//! [`Collector`](crate::collect::Collector) that holds the hits and
+//! reports the current budget:
+//!
+//! * **range** runs the loop with [`Within`] — a fixed budget, the
+//!   radius;
+//! * **k-NN** runs it with [`TopK`] — the radius until `k` hits are
+//!   held, then the `k`-th best distance;
+//! * **NN is k-NN at `k = 1`**: the best-so-far incumbent of a classic
+//!   NN search is exactly a one-slot `TopK`, so the answers and the
+//!   distance counts are the same and no backend needs a separate NN
+//!   path.
+//!
+//! Everything around the loop — validation, query preparation, the
+//! tombstone over-fetch, statistics — is written once, in the provided
+//! [`MetricIndex::knn`] and [`MetricIndex::range`].
 
+use crate::collect::{AnyCollector, TopK, Within};
 use crate::error::SearchError;
 use crate::parallel::par_map_with;
 use crate::{Neighbour, SearchStats, SearchStatsAtomic};
-use cned_core::metric::Distance;
+use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 use std::sync::Arc;
 
@@ -45,9 +67,9 @@ pub struct QueryOptions {
     pub k: usize,
     /// Computation budget for pivot-table backends: only the first `n`
     /// pivots are used for lower bounds, the rest are treated as plain
-    /// candidates. This replaces the old `Laesa::nn_limited` — greedy
-    /// max-sum selection is incremental, so a prefix of a large pivot
-    /// set behaves exactly like a dedicated smaller build. The sharded
+    /// candidates. Greedy max-sum selection is incremental, so a prefix
+    /// of a large pivot set behaves exactly like a dedicated smaller
+    /// build (one index serves a whole pivot-count sweep). The sharded
     /// backend applies the budget to **each shard's** pivot set;
     /// backends without pivots ignore it. `None` (default) uses every
     /// pivot.
@@ -114,8 +136,8 @@ impl QueryOptions {
     }
 
     /// Validate the radius: `Err(InvalidRadius)` for NaN or negative
-    /// values, the radius otherwise. Implementations call this before
-    /// touching the database.
+    /// values, the radius otherwise. The provided query methods call
+    /// this before touching the database.
     pub fn checked_radius(&self) -> Result<f64, SearchError> {
         if self.radius.is_nan() || self.radius < 0.0 {
             Err(SearchError::InvalidRadius {
@@ -127,7 +149,8 @@ impl QueryOptions {
     }
 
     /// Fold one query's statistics into the sink, if one is set.
-    /// Implementations call this exactly once per answered query.
+    /// The provided query methods call this exactly once per answered
+    /// query.
     pub fn record(&self, stats: SearchStats) {
         if let Some(sink) = &self.stats_sink {
             sink.add(stats);
@@ -182,7 +205,26 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
     /// indices from queries address this accessor.
     fn item(&self, i: usize) -> Option<&[S]>;
 
-    /// Nearest neighbour of `query` within `opts.radius`.
+    /// The backend's search loop, run once over a prepared query: every
+    /// candidate it evaluates is offered to `collector`, whose budget
+    /// drives the pruning (see [`crate::collect`]). `pivot_budget`
+    /// limits pivot-table backends to their first `n` pivots
+    /// ([`QueryOptions::pivot_budget`]); others ignore it.
+    ///
+    /// This is the one method a backend implements to answer queries:
+    /// the provided [`MetricIndex::nn`], [`MetricIndex::knn`] and
+    /// [`MetricIndex::range`] validate the options, prepare the query,
+    /// pick the collector, filter tombstones and record statistics
+    /// around it. Tombstoned items are still offered here.
+    fn search(
+        &self,
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats;
+
+    /// Nearest neighbour of `query` within `opts.radius`: the k-NN
+    /// answer at `k = 1`.
     ///
     /// `Ok((None, stats))` when the database holds nothing within the
     /// radius (only possible with a finite radius seed); statistics
@@ -192,21 +234,42 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
         query: &[S],
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError>;
+    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
+        let opts = QueryOptions {
+            k: 1,
+            ..opts.clone()
+        };
+        let (hits, stats) = self.knn(query, dist, &opts)?;
+        Ok((hits.into_iter().next(), stats))
+    }
 
     /// The `opts.k` nearest neighbours of `query` within
     /// `opts.radius`, in canonical order. May return fewer than `k`
-    /// entries when fewer elements lie within the radius.
+    /// entries when fewer elements lie within the radius; `k = 0`
+    /// answers empty without evaluating anything.
     fn knn(
         &self,
         query: &[S],
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError>;
+    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
+        let radius = validate(self, opts)?;
+        if opts.k == 0 {
+            let stats = SearchStats::default();
+            opts.record(stats);
+            return Ok((Vec::new(), stats));
+        }
+        // Over-fetch: with T tombstones, at most T of the k + T nearest
+        // are dead, so the first k survivors are the live answer.
+        let want = opts.k.saturating_add(self.deleted());
+        let collector = AnyCollector::TopK(TopK::new(want, radius));
+        let (mut hits, stats) = answer(self, query, dist, opts, collector);
+        hits.truncate(opts.k);
+        Ok((hits, stats))
+    }
 
     /// Every item within `opts.radius` of `query` (inclusive), in
-    /// canonical order — the one genuinely new operation of the
-    /// unified API. Pivot-table backends answer it with
+    /// canonical order. Pivot-table backends answer it with
     /// triangle-inequality pruning: a candidate whose lower bound
     /// exceeds the radius is never evaluated.
     fn range(
@@ -214,7 +277,11 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
         query: &[S],
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError>;
+    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
+        let radius = validate(self, opts)?;
+        let collector = AnyCollector::Within(Within::new(radius));
+        Ok(answer(self, query, dist, opts, collector))
+    }
 
     /// [`MetricIndex::nn`] for a batch of queries, parallelised across
     /// queries ([`QueryOptions::threads`] caps the fan-out). Results
@@ -225,10 +292,7 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
     ) -> Result<Vec<(Option<Neighbour>, SearchStats)>, SearchError> {
-        if self.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        opts.checked_radius()?;
+        validate(self, opts)?;
         par_map_with(opts.threads, queries.len(), |q| {
             self.nn(&queries[q], dist, opts)
         })
@@ -244,10 +308,7 @@ pub trait MetricIndex<S: Symbol>: Send + Sync {
         dist: &dyn Distance<S>,
         opts: &QueryOptions,
     ) -> Result<Vec<(Vec<Neighbour>, SearchStats)>, SearchError> {
-        if self.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        opts.checked_radius()?;
+        validate(self, opts)?;
         par_map_with(opts.threads, queries.len(), |q| {
             self.knn(&queries[q], dist, opts)
         })
@@ -334,6 +395,15 @@ impl<S: Symbol, T: MetricIndex<S> + ?Sized> MetricIndex<S> for Box<T> {
         (**self).item(i)
     }
 
+    fn search(
+        &self,
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        (**self).search(prepared, collector, pivot_budget)
+    }
+
     fn nn(
         &self,
         query: &[S],
@@ -398,6 +468,39 @@ impl<S: Symbol, T: MetricIndex<S> + ?Sized> MetricIndex<S> for Box<T> {
     fn as_any(&self) -> Option<&dyn std::any::Any> {
         (**self).as_any()
     }
+}
+
+/// The checks every query makes before touching the database: an empty
+/// index and a NaN or negative radius are typed errors.
+fn validate<S: Symbol, I: MetricIndex<S> + ?Sized>(
+    index: &I,
+    opts: &QueryOptions,
+) -> Result<f64, SearchError> {
+    if index.is_empty() {
+        return Err(SearchError::EmptyDatabase);
+    }
+    opts.checked_radius()
+}
+
+/// Run `index`'s search loop into `collector` and turn the result into
+/// an answer: tombstoned hits dropped, statistics recorded.
+fn answer<S: Symbol, I: MetricIndex<S> + ?Sized>(
+    index: &I,
+    query: &[S],
+    dist: &dyn Distance<S>,
+    opts: &QueryOptions,
+    mut collector: AnyCollector,
+) -> (Vec<Neighbour>, SearchStats) {
+    // Prepared once per query (for d_E this caches the Myers Peq
+    // bitmaps every comparison below reuses).
+    let prepared = dist.prepare(query);
+    let stats = index.search(&*prepared, &mut collector, opts.pivot_budget);
+    let mut hits = collector.into_hits();
+    if index.deleted() > 0 {
+        hits.retain(|nb| !index.is_deleted(nb.index));
+    }
+    opts.record(stats);
+    (hits, stats)
 }
 
 /// A [`MetricIndex`] that additionally accepts incremental inserts —

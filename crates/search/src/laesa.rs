@@ -21,11 +21,12 @@
 //! heuristic and the answer may be approximate — exactly the effect
 //! visible in Table 2 of the paper.
 
+use crate::collect::{AnyCollector, Collector};
 use crate::error::SearchError;
-use crate::index::{MetricIndex, QueryOptions};
+use crate::index::MetricIndex;
 use crate::parallel::par_map;
 use crate::tombstone::TombstoneSet;
-use crate::{sanitise_distance, Neighbour, SearchStats};
+use crate::{sanitise_distance, SearchStats};
 use cned_core::lanes::LANES;
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
@@ -67,16 +68,7 @@ impl<S: Symbol> Laesa<S> {
         dist: &D,
     ) -> Result<Laesa<S>, SearchError> {
         let n = db.len();
-        let mut pivot_row = vec![usize::MAX; n];
-        for (r, &p) in pivots.iter().enumerate() {
-            if p >= n {
-                return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
-            }
-            if pivot_row[p] != usize::MAX {
-                return Err(SearchError::DuplicatePivot { pivot: p });
-            }
-            pivot_row[p] = r;
-        }
+        let pivot_row = pivot_row_of(n, &pivots)?;
         let refs: Vec<&[S]> = db.iter().map(Vec::as_slice).collect();
         let rows: Vec<Vec<f64>> = par_map(pivots.len(), |r| {
             let prepared = dist.prepare(&db[pivots[r]]);
@@ -98,25 +90,6 @@ impl<S: Symbol> Laesa<S> {
             preprocessing_computations,
             tombstones: TombstoneSet::new(),
         })
-    }
-
-    /// Panicking variant of [`Laesa::try_build`].
-    ///
-    /// # Panics
-    /// Panics if a pivot index is out of range or repeated.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Laesa::try_build`, which reports a typed error"
-    )]
-    pub fn build<D: Distance<S> + ?Sized>(
-        db: Vec<Vec<S>>,
-        pivots: Vec<usize>,
-        dist: &D,
-    ) -> Laesa<S> {
-        match Laesa::try_build(db, pivots, dist) {
-            Ok(index) => index,
-            Err(e) => panic!("{e}"),
-        }
     }
 
     /// The database the index was built over.
@@ -164,16 +137,7 @@ impl<S: Symbol> Laesa<S> {
         preprocessing: u64,
     ) -> Result<Laesa<S>, SearchError> {
         let n = db.len();
-        let mut pivot_row = vec![usize::MAX; n];
-        for (r, &p) in pivots.iter().enumerate() {
-            if p >= n {
-                return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
-            }
-            if pivot_row[p] != usize::MAX {
-                return Err(SearchError::DuplicatePivot { pivot: p });
-            }
-            pivot_row[p] = r;
-        }
+        let pivot_row = pivot_row_of(n, &pivots)?;
         if rows.len() != pivots.len() || rows.iter().any(|row| row.len() != n) {
             return Err(SearchError::Persistence {
                 reason: format!(
@@ -205,126 +169,64 @@ impl<S: Symbol> Laesa<S> {
         self.tombstones = tombstones;
     }
 
-    /// Nearest neighbour of `query`, counting real distance
-    /// evaluations. Returns `None` on an empty database.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_core(&*prepared, self.pivots.len(), f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// [`MetricIndex::nn`] restricted to the first `limit` pivots.
+    /// The search loop, run once over a prepared query with every
+    /// evaluated element offered to `collector` (see
+    /// [`crate::collect`]); `pivot_budget` limits it to the first `n`
+    /// pivots.
     ///
     /// Because greedy max-sum selection is incremental, the first `p`
     /// pivots of an index built with `P ≥ p` pivots are exactly the
     /// selection a `p`-pivot build would produce — so a pivot-count
     /// sweep (Figures 3–4) can reuse one index instead of rebuilding
-    /// per point. Pivots beyond `limit` are treated as ordinary
+    /// per point. Pivots beyond the budget are treated as ordinary
     /// candidates.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn` with `QueryOptions::pivot_budget`"
-    )]
-    pub fn nn_limited<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-        limit: usize,
-    ) -> Option<(Neighbour, SearchStats)> {
-        if self.db.is_empty() {
-            return None;
-        }
-        // Prepared once per query; for d_E this caches the Myers Peq
-        // bitmaps reused by every comparison below.
-        let prepared = dist.prepare(query);
-        let (best, stats) = self.nn_core(&*prepared, limit, f64::INFINITY);
-        best.map(|nb| (nb, stats))
-    }
-
-    /// Nearest neighbour **within `radius`** of an already-prepared
-    /// query: `Some(nb)` with `nb.distance <= radius` (ties towards
-    /// the smallest index), or `None` when no element lies within the
-    /// radius. The statistics are returned either way.
     ///
-    /// This is the sharded serving layer's entry point
-    /// (`cned-serve`): the caller prepares the query **once** — so the
-    /// per-query caches (Myers `Peq` bitmaps, contextual DP scratch)
-    /// are reused across the whole pivot set of *every* shard — and
-    /// seeds each later shard with the best distance found so far,
-    /// which acts exactly like an already-known best: it bounds the
-    /// non-pivot candidate evaluations *and* feeds candidate
-    /// elimination from the first pivot onwards. Pivot distances are
-    /// still computed exactly even when they exceed the radius,
-    /// because their exact values are what make the triangle-
-    /// inequality lower bounds (and therefore the answer) correct.
-    pub fn nn_prepared(
+    /// The sharded serving layer (`cned-serve`) calls this directly: it
+    /// prepares the query **once** — so the per-query caches (Myers
+    /// `Peq` bitmaps, contextual DP scratch) are reused across the
+    /// pivot set of *every* shard — and hands each later shard a
+    /// collector whose radius is the running cross-shard budget, which
+    /// acts exactly like an already-known best: it bounds the
+    /// non-pivot candidate evaluations *and* feeds elimination from
+    /// the first pivot onwards.
+    ///
+    /// 1. **Pivots.** Active pivots are evaluated exactly — the first
+    ///    in build order, then always the live pivot with the minimal
+    ///    (lower bound, index) — even beyond the budget, because their
+    ///    exact values are what make the triangle-inequality lower
+    ///    bounds (and therefore the answer) correct. After every pivot
+    ///    the candidate and pivot live lists are tightened with the
+    ///    pivot's precomputed row and **compacted** against the
+    ///    budget, so per-round cost tracks the surviving set instead
+    ///    of rescanning all `n` elements every round.
+    /// 2. **Candidates.** The surviving plain candidates (their bounds
+    ///    now frozen: no unevaluated active pivot remains that could
+    ///    tighten them) are visited in (bound, index) order via a lazy
+    ///    bound-ordered heap and scored through the lane-batched
+    ///    bounded path. The budget is refreshed at every chunk
+    ///    boundary; a stale budget only admits a superset of what the
+    ///    one-at-a-time sweep would, and the collector's canonical
+    ///    ordering keeps the final answer identical.
+    pub fn search_with<C: Collector>(
         &self,
         prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
-        self.nn_core(prepared, self.pivots.len(), radius)
-    }
-
-    /// [`Laesa::nn_prepared`] restricted to the first `limit` pivots
-    /// (the [`crate::QueryOptions::pivot_budget`] knob for callers
-    /// that manage prepared queries themselves, e.g. the sharded
-    /// serving layer applying a per-shard budget).
-    pub fn nn_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        limit: usize,
-    ) -> (Option<Neighbour>, SearchStats) {
-        self.nn_core(prepared, limit, radius)
-    }
-
-    /// Shared pivot phase of the NN and k-NN cores.
-    ///
-    /// Evaluates active pivots exactly — the first in build order, then
-    /// always the live pivot with the minimal (lower bound, index) —
-    /// feeding each exact distance to `admit`, which records the
-    /// candidate and returns the updated pruning budget (the incumbent
-    /// or `k`-th-best distance). After every pivot the candidate and
-    /// pivot live lists are tightened with the pivot's precomputed row
-    /// and **compacted** against that budget, so per-round cost tracks
-    /// the surviving set instead of rescanning all `n` elements every
-    /// round (the `laesa`-slower-than-`linear` fix).
-    ///
-    /// On return `cands` holds the still-live plain candidates (their
-    /// bounds now frozen: no unevaluated active pivot remains that
-    /// could tighten them) and `lower` the final bounds.
-    fn pivot_phase(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        limit: usize,
-        lower: &mut [f64],
-        cands: &mut Vec<usize>,
-        computations: &mut u64,
-        mut admit: impl FnMut(usize, f64) -> f64,
-    ) {
+        pivot_budget: Option<usize>,
+        collector: &mut C,
+    ) -> SearchStats {
+        let limit = pivot_budget.map_or(self.pivots.len(), |p| p.min(self.pivots.len()));
         let n = self.db.len();
+        let mut lower = vec![0.0f64; n]; // G[u]
+        let mut computations = 0u64;
+
         // Live plain candidates: everything that is not an active
         // pivot, ascending index (the canonical tie-break order).
-        cands.clear();
-        cands.extend((0..n).filter(|&u| self.pivot_row[u] >= limit));
-        // Live active pivots, ascending index for the same tie-break
-        // the old full-array sweep had.
+        let mut cands: Vec<usize> = (0..n).filter(|&u| self.pivot_row[u] >= limit).collect();
+        // Live active pivots, ascending index for the same tie-break.
         let mut live_pivots: Vec<usize> = self.pivots[..limit].to_vec();
         live_pivots.sort_unstable();
 
-        // First selection is the first *built* pivot (build order, not
-        // index order); afterwards the live pivot with minimal bound.
+        // Phase 1: the first *built* pivot (build order, not index
+        // order); afterwards the live pivot with minimal bound.
         let mut selected = (limit > 0).then(|| self.pivots[0]);
         while let Some(s) = selected.take() {
             let pos = live_pivots
@@ -335,8 +237,9 @@ impl<S: Symbol> Laesa<S> {
             // Pivot distances feed the lower-bound updates, so they
             // are computed exactly (never bounded).
             let d = sanitise_distance(prepared.distance_to(&self.db[s]));
-            *computations += 1;
-            let slack = admit(s, d) + crate::ELIMINATION_SLACK;
+            computations += 1;
+            collector.offer(s, d);
+            let slack = collector.budget() + crate::ELIMINATION_SLACK;
 
             // Tighten every live bound with the pivot's row and drop
             // eliminated entries in the same pass.
@@ -348,8 +251,8 @@ impl<S: Symbol> Laesa<S> {
                 }
                 lower[*u] <= slack
             };
-            cands.retain(|u| keep(u, lower));
-            live_pivots.retain(|u| keep(u, lower));
+            cands.retain(|u| keep(u, &mut lower));
+            live_pivots.retain(|u| keep(u, &mut lower));
 
             // Next pivot: minimal (bound, index) — ascending order plus
             // strict `<` keeps the first (smallest-index) minimum.
@@ -361,22 +264,49 @@ impl<S: Symbol> Laesa<S> {
             }
             selected = next.map(|(u, _)| u);
         }
+
+        // Phase 2: surviving candidates in frozen (bound, index) order.
+        let mut heap = Self::heap_of_frozen_bounds(&cands, &lower);
+        let mut chunk = [0usize; LANES];
+        let mut targets: [&[S]; LANES] = [&[]; LANES];
+        let mut results: [Option<f64>; LANES] = [None; LANES];
+        loop {
+            let budget = collector.budget();
+            let take = Self::pop_chunk(&mut heap, budget + crate::ELIMINATION_SLACK, &mut chunk);
+            if take == 0 {
+                // The heap's minimum exceeds the budget: every
+                // remaining candidate is eliminated too.
+                break;
+            }
+            for (t, &u) in chunk[..take].iter().enumerate() {
+                targets[t] = &self.db[u];
+            }
+            prepared.distance_to_batch_bounded(&targets[..take], budget, &mut results[..take]);
+            computations += take as u64;
+            for (i, d) in results[..take].iter().enumerate() {
+                if let Some(d) = *d {
+                    collector.offer(chunk[i], d);
+                }
+            }
+        }
+
+        SearchStats {
+            distance_computations: computations,
+        }
     }
 
-    /// Lazy bound-ordered candidate feed for the Phase-2 sweeps.
+    /// Lazy bound-ordered candidate feed for the Phase-2 sweep.
     ///
-    /// Replaces the former sort-then-sweep: building the heap is
-    /// `O(n)` (vs `O(n log n)` for a full sort) and only the visited
-    /// prefix pays `log n` per pop — on low-dimensional corpora the
-    /// shrinking budget stops the sweep after a handful of chunks, so
-    /// almost none of the eliminated tail is ever ordered.
+    /// Building the heap is `O(n)` (vs `O(n log n)` for a full sort)
+    /// and only the visited prefix pays `log n` per pop — on
+    /// low-dimensional corpora the shrinking budget stops the sweep
+    /// after a handful of chunks, so almost none of the eliminated tail
+    /// is ever ordered.
     ///
-    /// Pops arrive in exactly the frozen `(lower bound, index)` order
-    /// the sort produced: bounds are built from `abs()` of sanitised
+    /// Pops arrive in exactly the frozen `(lower bound, index)` order a
+    /// sort would produce: bounds are built from `abs()` of sanitised
     /// distances, so they are non-negative and never NaN, which makes
-    /// `f64::to_bits` order coincide with numeric (`total_cmp`) order
-    /// — bit-identical visit sequence, chunk boundaries and budget
-    /// snapshots, pinned by the stats-exact tests below.
+    /// `f64::to_bits` order coincide with numeric (`total_cmp`) order.
     fn heap_of_frozen_bounds(cands: &[usize], lower: &[f64]) -> BinaryHeap<Reverse<(u64, usize)>> {
         cands
             .iter()
@@ -408,388 +338,23 @@ impl<S: Symbol> Laesa<S> {
         }
         take
     }
+}
 
-    fn nn_core(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        limit: usize,
-        radius: f64,
-    ) -> (Option<Neighbour>, SearchStats) {
-        let limit = limit.min(self.pivots.len());
-        let n = self.db.len();
-        if n == 0 {
-            return (None, SearchStats::default());
+/// Validate a pivot list over `n` items and map each item to its pivot
+/// row (`usize::MAX` for non-pivots): an out-of-range or repeated pivot
+/// is a typed error.
+fn pivot_row_of(n: usize, pivots: &[usize]) -> Result<Vec<usize>, SearchError> {
+    let mut pivot_row = vec![usize::MAX; n];
+    for (r, &p) in pivots.iter().enumerate() {
+        if p >= n {
+            return Err(SearchError::PivotOutOfRange { pivot: p, len: n });
         }
-
-        let mut lower = vec![0.0f64; n]; // G[u]
-        let mut computations = 0u64;
-        // The search radius doubles as a virtual incumbent: any real
-        // candidate at d <= radius beats it (usize::MAX loses every
-        // index tie-break).
-        let mut best = Neighbour {
-            index: usize::MAX,
-            distance: radius,
-        };
-
-        // Phase 1: pivots — exact distances, bound tightening,
-        // incremental elimination over compacted live lists.
-        let mut cands: Vec<usize> = Vec::new();
-        self.pivot_phase(
-            prepared,
-            limit,
-            &mut lower,
-            &mut cands,
-            &mut computations,
-            |s, d| {
-                let candidate = Neighbour {
-                    index: s,
-                    distance: d,
-                };
-                if candidate.better_than(&best) {
-                    best = candidate;
-                }
-                best.distance
-            },
-        );
-
-        // Phase 2: surviving candidates, visited in frozen
-        // (bound, index) order via a lazy bound-ordered heap and
-        // scored through the lane-batched bounded path. The budget is
-        // refreshed at every chunk boundary; a stale budget only
-        // admits a superset of what the one-at-a-time sweep would, and
-        // `better_than` keeps the final incumbent identical.
-        let mut heap = Self::heap_of_frozen_bounds(&cands, &lower);
-        let mut chunk = [0usize; LANES];
-        let mut targets: [&[S]; LANES] = [&[]; LANES];
-        let mut results: [Option<f64>; LANES] = [None; LANES];
-        loop {
-            let slack = best.distance + crate::ELIMINATION_SLACK;
-            let take = Self::pop_chunk(&mut heap, slack, &mut chunk);
-            if take == 0 {
-                // The heap's minimum exceeds the budget: every
-                // remaining candidate is eliminated too.
-                break;
-            }
-            for (t, &u) in chunk[..take].iter().enumerate() {
-                targets[t] = &self.db[u];
-            }
-            prepared.distance_to_batch_bounded(
-                &targets[..take],
-                best.distance,
-                &mut results[..take],
-            );
-            computations += take as u64;
-            for (i, d) in results[..take].iter().enumerate() {
-                let Some(d) = *d else { continue };
-                let candidate = Neighbour {
-                    index: chunk[i],
-                    distance: d,
-                };
-                if candidate.better_than(&best) {
-                    best = candidate;
-                }
-            }
+        if pivot_row[p] != usize::MAX {
+            return Err(SearchError::DuplicatePivot { pivot: p });
         }
-
-        let found = (best.index != usize::MAX).then_some(best);
-        (
-            found,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
+        pivot_row[p] = r;
     }
-
-    /// The `k` nearest neighbours, sorted by increasing distance.
-    ///
-    /// Same machinery as nearest-neighbour search but elimination uses
-    /// the current `k`-th best distance, so fewer candidates are
-    /// pruned.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn<D: Distance<S> + ?Sized>(
-        &self,
-        query: &[S],
-        dist: &D,
-        k: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let prepared = dist.prepare(query);
-        self.knn_prepared(&*prepared, k, f64::INFINITY)
-    }
-
-    /// The `k` nearest neighbours **within `radius`** of an
-    /// already-prepared query, sorted by the canonical
-    /// (distance, index) ordering. May return fewer than `k` entries
-    /// when fewer elements lie within the radius.
-    ///
-    /// The sharded k-NN counterpart of [`Laesa::nn_prepared`]: the
-    /// serving layer seeds each later shard with the running global
-    /// `k`-th-best distance, which bounds candidate evaluations and
-    /// elimination from the first pivot onwards, while pivot distances
-    /// stay exact (their values feed the lower-bound updates).
-    pub fn knn_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.knn_core(prepared, k, radius, self.pivots.len())
-    }
-
-    /// [`Laesa::knn_prepared`] restricted to the first `limit` pivots.
-    pub fn knn_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.knn_core(prepared, k, radius, limit)
-    }
-
-    fn knn_core(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        k: usize,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let limit = limit.min(self.pivots.len());
-        let n = self.db.len();
-        if n == 0 || k == 0 {
-            return (Vec::new(), SearchStats::default());
-        }
-
-        let mut lower = vec![0.0f64; n];
-        let mut computations = 0u64;
-        // Current k best, kept sorted by (distance, index); the radius
-        // caps the admission budget until k closer elements displace
-        // it.
-        let mut best: Vec<Neighbour> = Vec::with_capacity(k + 1);
-        fn kth(best: &[Neighbour], k: usize, radius: f64) -> f64 {
-            if best.len() < k {
-                radius
-            } else {
-                best[k - 1].distance
-            }
-        }
-        // A rejected bounded evaluation surfaces as +inf and must never
-        // enter the result set, even at an infinite radius.
-        fn admit_knn(best: &mut Vec<Neighbour>, k: usize, radius: f64, index: usize, d: f64) {
-            if d.is_finite() && d <= radius {
-                let candidate = Neighbour { index, distance: d };
-                let pos = best
-                    .binary_search_by(|nb| nb.ordering(&candidate))
-                    .unwrap_or_else(|e| e);
-                best.insert(pos, candidate);
-                best.truncate(k);
-            }
-        }
-
-        // Phase 1: pivots — exact distances (even beyond the radius:
-        // their values make the lower bounds correct), elimination
-        // against the running k-th-best distance.
-        let mut cands: Vec<usize> = Vec::new();
-        self.pivot_phase(
-            prepared,
-            limit,
-            &mut lower,
-            &mut cands,
-            &mut computations,
-            |s, d| {
-                admit_knn(&mut best, k, radius, s, d);
-                kth(&best, k, radius)
-            },
-        );
-
-        // Phase 2: survivors in frozen (bound, index) order via the
-        // lazy bound-ordered heap, batched through the bounded lane
-        // path with the k-th distance as the budget. Stale chunk
-        // budgets only admit a superset; the sorted insert + truncate
-        // keeps the final k identical.
-        let mut heap = Self::heap_of_frozen_bounds(&cands, &lower);
-        let mut chunk = [0usize; LANES];
-        let mut targets: [&[S]; LANES] = [&[]; LANES];
-        let mut results: [Option<f64>; LANES] = [None; LANES];
-        loop {
-            let budget = kth(&best, k, radius);
-            let slack = budget + crate::ELIMINATION_SLACK;
-            let take = Self::pop_chunk(&mut heap, slack, &mut chunk);
-            if take == 0 {
-                break;
-            }
-            for (t, &u) in chunk[..take].iter().enumerate() {
-                targets[t] = &self.db[u];
-            }
-            prepared.distance_to_batch_bounded(&targets[..take], budget, &mut results[..take]);
-            computations += take as u64;
-            for (i, d) in results[..take].iter().enumerate() {
-                let Some(d) = *d else { continue };
-                admit_knn(&mut best, k, radius, chunk[i], d);
-            }
-        }
-
-        (
-            best,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// Every element **within `radius`** (inclusive) of an
-    /// already-prepared query, in the canonical (distance, index)
-    /// order.
-    ///
-    /// Unlike NN/k-NN the pruning radius never shrinks, so the
-    /// algorithm is a straight two-phase sweep: every active pivot is
-    /// computed exactly (its value both answers its own membership and
-    /// tightens every candidate's triangle-inequality lower bound
-    /// `G[u] = max_p |d(q,p) − d(p,u)|`), candidates whose bound
-    /// exceeds `radius` (plus [`crate::ELIMINATION_SLACK`]) are
-    /// eliminated unevaluated, and the survivors are evaluated with
-    /// `radius` as their early-exit budget.
-    pub fn range_prepared(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.range_core(prepared, radius, self.pivots.len())
-    }
-
-    /// [`Laesa::range_prepared`] restricted to the first `limit`
-    /// pivots.
-    pub fn range_prepared_limited(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        self.range_core(prepared, radius, limit)
-    }
-
-    fn range_core(
-        &self,
-        prepared: &dyn PreparedQuery<S>,
-        radius: f64,
-        limit: usize,
-    ) -> (Vec<Neighbour>, SearchStats) {
-        let limit = limit.min(self.pivots.len());
-        let n = self.db.len();
-        let mut alive = vec![true; n];
-        let mut lower = vec![0.0f64; n];
-        let mut computations = 0u64;
-        let mut hits: Vec<Neighbour> = Vec::new();
-
-        // The fixed radius means every active pivot is evaluated
-        // unconditionally, so all pivot distances can be scored in one
-        // lane-batched pass up front; the row sweeps then run in the
-        // same order as before.
-        let pivot_refs: Vec<&[S]> = self.pivots[..limit]
-            .iter()
-            .map(|&p| self.db[p].as_slice())
-            .collect();
-        let mut pivot_d = vec![0.0f64; limit];
-        prepared.distance_to_batch(&pivot_refs, &mut pivot_d);
-        computations += limit as u64;
-        for r in 0..limit {
-            let p = self.pivots[r];
-            let d = sanitise_distance(pivot_d[r]);
-            alive[p] = false;
-            if d.is_finite() && d <= radius {
-                hits.push(Neighbour {
-                    index: p,
-                    distance: d,
-                });
-            }
-            let row = &self.rows[r];
-            for u in 0..n {
-                if !alive[u] {
-                    continue;
-                }
-                let g = (d - row[u]).abs();
-                if g > lower[u] {
-                    lower[u] = g;
-                }
-                if lower[u] > radius + crate::ELIMINATION_SLACK {
-                    alive[u] = false;
-                }
-            }
-        }
-        // Survivors all share the same fixed budget, so the whole set
-        // batches cleanly in lane-width chunks.
-        let survivors: Vec<usize> = (0..n).filter(|&u| alive[u]).collect();
-        computations += survivors.len() as u64;
-        let mut results: [Option<f64>; LANES] = [None; LANES];
-        let mut targets: [&[S]; LANES] = [&[]; LANES];
-        for chunk in survivors.chunks(LANES) {
-            for (i, &u) in chunk.iter().enumerate() {
-                targets[i] = &self.db[u];
-            }
-            prepared.distance_to_batch_bounded(
-                &targets[..chunk.len()],
-                radius,
-                &mut results[..chunk.len()],
-            );
-            for (i, d) in results[..chunk.len()].iter().enumerate() {
-                let Some(d) = *d else { continue };
-                if d.is_finite() {
-                    hits.push(Neighbour {
-                        index: chunk[i],
-                        distance: d,
-                    });
-                }
-            }
-        }
-        hits.sort_by(|a, b| a.ordering(b));
-        (
-            hits,
-            SearchStats {
-                distance_computations: computations,
-            },
-        )
-    }
-
-    /// `nn` for a batch of queries, parallelised across queries (each
-    /// worker prepares its query once). Returns `None` on an empty
-    /// database, mirroring the single-query API.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::nn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn nn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-    ) -> Option<Vec<(Neighbour, SearchStats)>> {
-        if self.db.is_empty() {
-            return None;
-        }
-        Some(crate::parallel::par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            let (best, stats) = self.nn_core(&*prepared, self.pivots.len(), f64::INFINITY);
-            (best.expect("database checked non-empty"), stats)
-        }))
-    }
-
-    /// `knn` for a batch of queries, parallelised across queries.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `MetricIndex::knn_batch` with `QueryOptions` (or the `cned::Database` facade)"
-    )]
-    pub fn knn_batch<D: Distance<S> + ?Sized>(
-        &self,
-        queries: &[Vec<S>],
-        dist: &D,
-        k: usize,
-    ) -> Vec<(Vec<Neighbour>, SearchStats)> {
-        crate::parallel::par_map(queries.len(), |q| {
-            let prepared = dist.prepare(&queries[q]);
-            self.knn_prepared(&*prepared, k, f64::INFINITY)
-        })
-    }
+    Ok(pivot_row)
 }
 
 impl<S: Symbol> MetricIndex<S> for Laesa<S> {
@@ -805,72 +370,16 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
+    fn search(
         &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        match collector {
+            AnyCollector::TopK(c) => self.search_with(prepared, pivot_budget, c),
+            AnyCollector::Within(c) => self.search_with(prepared, pivot_budget, c),
         }
-        let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = self.nn_core(&*prepared, limit, radius);
-            opts.record(stats);
-            return Ok((found, stats));
-        }
-        // Over-fetch: at most T of the top 1+T answers can be dead,
-        // so the first survivor is the true live NN.
-        let want = 1 + self.tombstones.count();
-        let (hits, stats) = self.knn_core(&*prepared, want, radius, limit);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
-    fn knn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
-        let prepared = dist.prepare(query);
-        let want = if self.tombstones.is_empty() {
-            opts.k
-        } else {
-            opts.k.saturating_add(self.tombstones.count())
-        };
-        let (mut best, stats) = self.knn_core(&*prepared, want, radius, limit);
-        self.tombstones.retain_live(&mut best);
-        best.truncate(opts.k);
-        opts.record(stats);
-        Ok((best, stats))
-    }
-
-    fn range(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let limit = opts.pivot_budget.unwrap_or(self.pivots.len());
-        let prepared = dist.prepare(query);
-        let (mut hits, stats) = self.range_core(&*prepared, radius, limit);
-        self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
-        Ok((hits, stats))
     }
 
     fn delete(&mut self, index: usize) -> Result<bool, SearchError> {
@@ -895,14 +404,11 @@ impl<S: Symbol> MetricIndex<S> for Laesa<S> {
 
 #[cfg(test)]
 mod tests {
-    // These tests pin the deprecated forwarders' behaviour (they share
-    // cores with the MetricIndex path, so coverage is common) until
-    // the legacy surface is removed.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::linear::{linear_knn, linear_nn};
+    use crate::index::QueryOptions;
+    use crate::linear::LinearIndex;
     use crate::pivots::select_pivots_max_sum;
+    use crate::Neighbour;
     use cned_core::contextual::heuristic::ContextualHeuristic;
     use cned_core::levenshtein::Levenshtein;
     use cned_core::normalized::yujian_bo::YujianBo;
@@ -926,10 +432,49 @@ mod tests {
             .collect()
     }
 
+    fn build(db: Vec<Vec<u8>>, pivots: Vec<usize>, dist: &dyn Distance<u8>) -> Laesa<u8> {
+        Laesa::try_build(db, pivots, dist).unwrap()
+    }
+
+    /// Nearest neighbour through the trait, optionally pivot-limited.
+    fn nn_with(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+        opts: &QueryOptions,
+    ) -> (Neighbour, SearchStats) {
+        let (nb, stats) = idx.nn(q, dist, opts).unwrap();
+        (nb.expect("infinite radius always finds"), stats)
+    }
+
+    fn nn(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+    ) -> (Neighbour, SearchStats) {
+        nn_with(idx, q, dist, &QueryOptions::new())
+    }
+
+    fn knn(
+        idx: &dyn MetricIndex<u8>,
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+        k: usize,
+    ) -> (Vec<Neighbour>, SearchStats) {
+        idx.knn(q, dist, &QueryOptions::new().k(k)).unwrap()
+    }
+
+    fn key(ns: &[Neighbour]) -> Vec<(usize, u64)> {
+        ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+    }
+
     #[test]
-    fn empty_db_returns_none() {
-        let idx: Laesa<u8> = Laesa::build(Vec::new(), Vec::new(), &Levenshtein);
-        assert!(idx.nn(b"abc", &Levenshtein).is_none());
+    fn empty_db_is_a_typed_error() {
+        let idx: Laesa<u8> = build(Vec::new(), Vec::new(), &Levenshtein);
+        assert_eq!(
+            idx.nn(b"abc", &Levenshtein, &QueryOptions::new()),
+            Err(SearchError::EmptyDatabase)
+        );
     }
 
     #[test]
@@ -937,8 +482,8 @@ mod tests {
         let db = corpus(50, 8, 3, 7);
         let pivots = select_pivots_max_sum(&db, 5, 0, &Levenshtein);
         let probe = db[17].clone();
-        let idx = Laesa::build(db, pivots, &Levenshtein);
-        let (nn, _) = idx.nn(&probe, &Levenshtein).unwrap();
+        let idx = build(db, pivots, &Levenshtein);
+        let (nn, _) = nn(&idx, &probe, &Levenshtein);
         assert_eq!(nn.distance, 0.0);
         assert_eq!(idx.database()[nn.index], probe);
     }
@@ -948,10 +493,10 @@ mod tests {
         let db = corpus(120, 10, 3, 11);
         let queries = corpus(40, 10, 3, 99);
         let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q, &Levenshtein);
+            let (a_nn, _) = nn(&idx, q, &Levenshtein);
             assert_eq!(a_nn.distance, l_nn.distance, "query {q:?}");
         }
     }
@@ -961,10 +506,10 @@ mod tests {
         let db = corpus(100, 9, 3, 5);
         let queries = corpus(30, 9, 3, 123);
         let pivots = select_pivots_max_sum(&db, 10, 0, &YujianBo);
-        let idx = Laesa::build(db.clone(), pivots, &YujianBo);
+        let idx = build(db.clone(), pivots, &YujianBo);
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &YujianBo).unwrap();
-            let (a_nn, _) = idx.nn(q, &YujianBo).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q, &YujianBo);
+            let (a_nn, _) = nn(&idx, q, &YujianBo);
             assert!((a_nn.distance - l_nn.distance).abs() < 1e-12, "query {q:?}");
         }
     }
@@ -978,10 +523,10 @@ mod tests {
         let db = corpus(100, 9, 3, 21);
         let queries = corpus(30, 9, 3, 77);
         let pivots = select_pivots_max_sum(&db, 10, 0, &ContextualHeuristic);
-        let idx = Laesa::build(db.clone(), pivots, &ContextualHeuristic);
+        let idx = build(db.clone(), pivots, &ContextualHeuristic);
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &ContextualHeuristic).unwrap();
-            let (a_nn, _) = idx.nn(q, &ContextualHeuristic).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q, &ContextualHeuristic);
+            let (a_nn, _) = nn(&idx, q, &ContextualHeuristic);
             assert!((a_nn.distance - l_nn.distance).abs() < 1e-9, "query {q:?}");
         }
     }
@@ -998,11 +543,11 @@ mod tests {
         let db = corpus(80, 9, 3, 29);
         let queries = corpus(15, 9, 3, 291);
         let pivots = select_pivots_max_sum(&db, 8, 0, &Contextual);
-        let idx = Laesa::build(db.clone(), pivots, &Contextual);
+        let idx = build(db.clone(), pivots, &Contextual);
         let gates_before = gate_rejections();
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Contextual).unwrap();
-            let (a_nn, _) = idx.nn(q, &Contextual).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q, &Contextual);
+            let (a_nn, _) = nn(&idx, q, &Contextual);
             assert!((a_nn.distance - l_nn.distance).abs() < 1e-12, "query {q:?}");
         }
         assert!(
@@ -1016,10 +561,10 @@ mod tests {
         let db = corpus(300, 10, 3, 31);
         let queries = corpus(20, 10, 3, 301);
         let pivots = select_pivots_max_sum(&db, 24, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         let mut total = 0u64;
         for q in &queries {
-            let (_, stats) = idx.nn(q, &Levenshtein).unwrap();
+            let (_, stats) = nn(&idx, q, &Levenshtein);
             total += stats.distance_computations;
         }
         let avg = total as f64 / queries.len() as f64;
@@ -1034,9 +579,9 @@ mod tests {
     fn computation_count_never_exceeds_db_size() {
         let db = corpus(80, 8, 2, 13);
         let pivots = select_pivots_max_sum(&db, 6, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         for q in corpus(20, 8, 2, 44) {
-            let (_, stats) = idx.nn(&q, &Levenshtein).unwrap();
+            let (_, stats) = nn(&idx, &q, &Levenshtein);
             assert!(stats.distance_computations <= db.len() as u64);
         }
     }
@@ -1046,10 +591,10 @@ mod tests {
         let db = corpus(150, 9, 3, 17);
         let queries = corpus(15, 9, 3, 171);
         let pivots = select_pivots_max_sum(&db, 12, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         for q in &queries {
-            let (l_knn, _) = linear_knn(&db, q, &Levenshtein, 5);
-            let (a_knn, _) = idx.knn(q, &Levenshtein, 5);
+            let (l_knn, _) = knn(&LinearIndex::new(db.clone()), q, &Levenshtein, 5);
+            let (a_knn, _) = knn(&idx, q, &Levenshtein, 5);
             assert_eq!(a_knn.len(), 5);
             let ld: Vec<f64> = l_knn.iter().map(|n| n.distance).collect();
             let ad: Vec<f64> = a_knn.iter().map(|n| n.distance).collect();
@@ -1060,10 +605,10 @@ mod tests {
     #[test]
     fn zero_pivots_degenerates_to_near_exhaustive_but_stays_correct() {
         let db = corpus(60, 8, 3, 23);
-        let idx = Laesa::build(db.clone(), Vec::new(), &Levenshtein);
+        let idx = build(db.clone(), Vec::new(), &Levenshtein);
         for q in corpus(10, 8, 3, 67) {
-            let (l_nn, _) = linear_nn(&db, &q, &Levenshtein).unwrap();
-            let (a_nn, stats) = idx.nn(&q, &Levenshtein).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), &q, &Levenshtein);
+            let (a_nn, stats) = nn(&idx, &q, &Levenshtein);
             assert_eq!(a_nn.distance, l_nn.distance);
             // Without pivots there are no lower bounds: every element
             // must be computed.
@@ -1075,30 +620,35 @@ mod tests {
     fn preprocessing_count_is_pivots_times_n() {
         let db = corpus(40, 8, 3, 3);
         let pivots = select_pivots_max_sum(&db, 4, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
+        let idx = build(db, pivots, &Levenshtein);
         assert_eq!(idx.preprocessing_computations(), 4 * 40);
     }
 
     #[test]
-    fn nn_limited_matches_dedicated_builds() {
+    fn pivot_budget_matches_dedicated_builds() {
         // A prefix-limited query over a 20-pivot index must return the
-        // same neighbour (and computation count) as an index built
-        // with only the prefix, because greedy selection is
-        // incremental.
+        // same answer (and computation count) as an index built with
+        // only the prefix, because greedy selection is incremental.
         let db = corpus(150, 9, 3, 53);
         let queries = corpus(10, 9, 3, 531);
         let pivots20 = select_pivots_max_sum(&db, 20, 0, &Levenshtein);
-        let big = Laesa::build(db.clone(), pivots20.clone(), &Levenshtein);
+        let big = build(db.clone(), pivots20.clone(), &Levenshtein);
         for p in [0usize, 3, 8, 20] {
-            let small = Laesa::build(db.clone(), pivots20[..p].to_vec(), &Levenshtein);
+            let small = build(db.clone(), pivots20[..p].to_vec(), &Levenshtein);
+            let limited = QueryOptions::new().pivot_budget(p);
             for q in &queries {
-                let (nn_a, st_a) = big.nn_limited(q, &Levenshtein, p).unwrap();
-                let (nn_b, st_b) = small.nn(q, &Levenshtein).unwrap();
-                assert_eq!(nn_a.distance, nn_b.distance, "p={p} q={q:?}");
+                let (nn_a, st_a) = nn_with(&big, q, &Levenshtein, &limited);
+                let (nn_b, st_b) = nn(&small, q, &Levenshtein);
                 assert_eq!(
-                    st_a.distance_computations, st_b.distance_computations,
+                    (nn_a.index, nn_a.distance.to_bits()),
+                    (nn_b.index, nn_b.distance.to_bits()),
                     "p={p} q={q:?}"
                 );
+                assert_eq!(st_a, st_b, "p={p} q={q:?}");
+                let (knn_a, kst_a) = big.knn(q, &Levenshtein, &limited.clone().k(4)).unwrap();
+                let (knn_b, kst_b) = knn(&small, q, &Levenshtein, 4);
+                assert_eq!(key(&knn_a), key(&knn_b), "p={p} q={q:?}");
+                assert_eq!(kst_a, kst_b, "p={p} q={q:?}");
             }
         }
     }
@@ -1108,13 +658,13 @@ mod tests {
         let db = corpus(250, 10, 3, 61);
         let queries = corpus(30, 10, 3, 611);
         let pivots = select_pivots_max_sum(&db, 64, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
+        let idx = build(db, pivots, &Levenshtein);
         let avg = |p: usize| -> f64 {
+            let opts = QueryOptions::new().pivot_budget(p);
             let total: u64 = queries
                 .iter()
                 .map(|q| {
-                    idx.nn_limited(q, &Levenshtein, p)
-                        .unwrap()
+                    nn_with(&idx, q, &Levenshtein, &opts)
                         .1
                         .distance_computations
                 })
@@ -1125,13 +675,6 @@ mod tests {
         let (a0, a8, a64) = (avg(0), avg(8), avg(64));
         assert!(a8 < a0, "8 pivots ({a8}) should beat none ({a0})");
         assert!(a64 < a0, "64 pivots ({a64}) should beat none ({a0})");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate pivot")]
-    fn duplicate_pivots_still_panic_through_deprecated_build() {
-        let db = corpus(10, 5, 2, 1);
-        Laesa::build(db, vec![1, 1], &Levenshtein);
     }
 
     #[test]
@@ -1203,39 +746,29 @@ mod tests {
     }
 
     #[test]
-    fn trait_path_matches_legacy_inherent_path() {
+    fn answers_match_the_linear_oracle_at_every_pivot_budget() {
         let db = corpus(100, 9, 3, 95);
         let queries = corpus(15, 9, 3, 951);
         let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::try_build(db, pivots, &Levenshtein).unwrap();
-        let dyn_idx: &dyn MetricIndex<u8> = &idx;
+        let idx = Laesa::try_build(db.clone(), pivots, &Levenshtein).unwrap();
+        let oracle = LinearIndex::new(db.clone());
         for q in &queries {
-            let (legacy, lstats) = idx.nn(q, &Levenshtein).unwrap();
-            let (nb, stats) = dyn_idx.nn(q, &Levenshtein, &QueryOptions::new()).unwrap();
-            let nb = nb.unwrap();
-            assert_eq!(
-                (nb.index, nb.distance.to_bits()),
-                (legacy.index, legacy.distance.to_bits())
-            );
-            assert_eq!(stats, lstats, "query {q:?}");
-            // pivot_budget reproduces nn_limited.
-            for limit in [0usize, 3, 8] {
-                let (legacy, lstats) = idx.nn_limited(q, &Levenshtein, limit).unwrap();
-                let opts = QueryOptions::new().pivot_budget(limit);
-                let (nb, stats) = dyn_idx.nn(q, &Levenshtein, &opts).unwrap();
-                let nb = nb.unwrap();
-                assert_eq!(nb.distance.to_bits(), legacy.distance.to_bits());
-                assert_eq!(stats, lstats, "query {q:?} limit {limit}");
+            let (want_knn, _) = knn(&oracle, q, &Levenshtein, 4);
+            for limit in [None, Some(0), Some(3), Some(8)] {
+                let mut opts = QueryOptions::new();
+                if let Some(p) = limit {
+                    opts = opts.pivot_budget(p);
+                }
+                let (nb, stats) = nn_with(&idx, q, &Levenshtein, &opts);
+                assert_eq!(
+                    key(&[nb]),
+                    key(&want_knn[..1]),
+                    "query {q:?} limit {limit:?}"
+                );
+                assert!(stats.distance_computations <= db.len() as u64);
+                let (got, _) = idx.knn(q, &Levenshtein, &opts.k(4)).unwrap();
+                assert_eq!(key(&got), key(&want_knn), "query {q:?} limit {limit:?}");
             }
-            let (lknn, lkstats) = idx.knn(q, &Levenshtein, 4);
-            let (knn, kstats) = dyn_idx
-                .knn(q, &Levenshtein, &QueryOptions::new().k(4))
-                .unwrap();
-            let key = |ns: &[Neighbour]| -> Vec<(usize, u64)> {
-                ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
-            };
-            assert_eq!(key(&knn), key(&lknn), "query {q:?}");
-            assert_eq!(kstats, lkstats);
         }
     }
 
@@ -1244,20 +777,21 @@ mod tests {
         let db = corpus(120, 10, 3, 57);
         let queries = corpus(25, 10, 3, 571);
         let pivots = select_pivots_max_sum(&db, 10, 0, &Levenshtein);
-        let idx = Laesa::build(db, pivots, &Levenshtein);
-        let batch = idx.nn_batch(&queries, &Levenshtein).unwrap();
+        let idx = build(db, pivots, &Levenshtein);
+        let opts = QueryOptions::new();
+        let batch = idx.nn_batch(&queries, &Levenshtein, &opts).unwrap();
         assert_eq!(batch.len(), queries.len());
-        for (q, (nn, stats)) in queries.iter().zip(&batch) {
-            let (snn, sstats) = idx.nn(q, &Levenshtein).unwrap();
-            assert_eq!(nn.distance, snn.distance, "query {q:?}");
-            assert_eq!(stats.distance_computations, sstats.distance_computations);
+        for (q, (nb, stats)) in queries.iter().zip(&batch) {
+            let (snn, sstats) = nn(&idx, q, &Levenshtein);
+            assert_eq!(key(&[nb.unwrap()]), key(&[snn]), "query {q:?}");
+            assert_eq!(*stats, sstats);
         }
-        let kbatch = idx.knn_batch(&queries, &Levenshtein, 4);
+        let kbatch = idx
+            .knn_batch(&queries, &Levenshtein, &opts.clone().k(4))
+            .unwrap();
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
-            let (snns, _) = idx.knn(q, &Levenshtein, 4);
-            let bd: Vec<f64> = nns.iter().map(|n| n.distance).collect();
-            let sd: Vec<f64> = snns.iter().map(|n| n.distance).collect();
-            assert_eq!(bd, sd, "query {q:?}");
+            let (snns, _) = knn(&idx, q, &Levenshtein, 4);
+            assert_eq!(key(nns), key(&snns), "query {q:?}");
         }
     }
 
@@ -1272,61 +806,36 @@ mod tests {
         db.extend(dups);
         let queries = corpus(20, 6, 2, 411);
         let pivots = select_pivots_max_sum(&db, 6, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         for q in &queries {
-            let (l_nn, _) = linear_nn(&db, q, &Levenshtein).unwrap();
-            let (a_nn, _) = idx.nn(q, &Levenshtein).unwrap();
+            let (l_nn, _) = nn(&LinearIndex::new(db.clone()), q, &Levenshtein);
+            let (a_nn, _) = nn(&idx, q, &Levenshtein);
             assert_eq!(a_nn.index, l_nn.index, "nn index mismatch on {q:?}");
             assert_eq!(a_nn.distance, l_nn.distance);
-            let (l_knn, _) = linear_knn(&db, q, &Levenshtein, 5);
-            let (a_knn, _) = idx.knn(q, &Levenshtein, 5);
-            let li: Vec<(usize, u64)> = l_knn
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            let ai: Vec<(usize, u64)> = a_knn
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            assert_eq!(ai, li, "knn mismatch on {q:?}");
+            let (l_knn, _) = knn(&LinearIndex::new(db.clone()), q, &Levenshtein, 5);
+            let (a_knn, _) = knn(&idx, q, &Levenshtein, 5);
+            assert_eq!(key(&a_knn), key(&l_knn), "knn mismatch on {q:?}");
         }
     }
 
     #[test]
-    fn prepared_radius_queries_match_plain_queries() {
-        // nn_prepared at an infinite radius is nn; at the exact best
-        // distance it still finds the neighbour (<= admission); just
-        // below it finds nothing.
+    fn radius_seeded_queries_match_plain_queries() {
+        // At the exact best distance the neighbour is still found (<=
+        // admission); just below it nothing is.
         let db = corpus(80, 8, 3, 47);
         let queries = corpus(10, 8, 3, 471);
         let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
-        let idx = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let idx = build(db.clone(), pivots, &Levenshtein);
         for q in &queries {
-            let (nn, stats) = idx.nn(q, &Levenshtein).unwrap();
-            let prepared = cned_core::metric::Distance::<u8>::prepare(&Levenshtein, q);
-            let (p_nn, p_stats) = idx.nn_prepared(&*prepared, f64::INFINITY);
-            let p_nn = p_nn.unwrap();
-            assert_eq!((p_nn.index, p_nn.distance), (nn.index, nn.distance));
-            assert_eq!(p_stats, stats);
-            let (at, _) = idx.nn_prepared(&*prepared, nn.distance);
-            let at = at.unwrap();
-            assert_eq!((at.index, at.distance), (nn.index, nn.distance));
-            if nn.distance > 0.0 {
-                let (below, _) = idx.nn_prepared(&*prepared, nn.distance - 0.5);
-                assert!(below.is_none(), "query {q:?}");
+            let (best, _) = nn(&idx, q, &Levenshtein);
+            let at = QueryOptions::new().radius(best.distance);
+            let (found, _) = idx.nn(q, &Levenshtein, &at).unwrap();
+            assert_eq!(key(&[found.unwrap()]), key(&[best]), "query {q:?}");
+            if best.distance > 0.0 {
+                let below = QueryOptions::new().radius(best.distance - 0.5);
+                let (found, _) = idx.nn(q, &Levenshtein, &below).unwrap();
+                assert!(found.is_none(), "query {q:?}");
             }
-            // knn via the prepared radius path agrees with plain knn.
-            let (knns, _) = idx.knn(q, &Levenshtein, 4);
-            let (p_knns, _) = idx.knn_prepared(&*prepared, 4, f64::INFINITY);
-            let a: Vec<(usize, u64)> = knns
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            let b: Vec<(usize, u64)> = p_knns
-                .iter()
-                .map(|n| (n.index, n.distance.to_bits()))
-                .collect();
-            assert_eq!(a, b, "query {q:?}");
         }
     }
 
@@ -1338,9 +847,9 @@ mod tests {
         let pivots = select_pivots_max_sum(&db, 8, 0, &Levenshtein);
         let _guard = crate::TEST_ENV_LOCK.lock().unwrap();
         crate::parallel::set_thread_override(Some(4));
-        let parallel = Laesa::build(db.clone(), pivots.clone(), &Levenshtein);
+        let parallel = build(db.clone(), pivots.clone(), &Levenshtein);
         crate::parallel::set_thread_override(Some(1));
-        let sequential = Laesa::build(db.clone(), pivots, &Levenshtein);
+        let sequential = build(db.clone(), pivots, &Levenshtein);
         crate::parallel::set_thread_override(None);
         assert_eq!(parallel.rows, sequential.rows);
         assert_eq!(
@@ -1348,8 +857,8 @@ mod tests {
             sequential.preprocessing_computations()
         );
         for q in corpus(10, 9, 3, 631) {
-            let (a, _) = parallel.nn(&q, &Levenshtein).unwrap();
-            let (b, _) = sequential.nn(&q, &Levenshtein).unwrap();
+            let (a, _) = nn(&parallel, &q, &Levenshtein);
+            let (b, _) = nn(&sequential, &q, &Levenshtein);
             assert_eq!(a.distance, b.distance);
             assert_eq!(a.index, b.index);
         }

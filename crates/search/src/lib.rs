@@ -33,11 +33,11 @@
 //! Beyond the paper's algorithms, this crate provides the plumbing
 //! that makes them fast on real hardware:
 //!
-//! * **parallel preprocessing** — [`Aesa::build`] and [`Laesa::build`]
+//! * **parallel preprocessing** — [`Aesa::build`] and [`Laesa::try_build`]
 //!   fan their `n·(n−1)/2` / `p·n` distance loops across cores
 //!   ([`parallel`]);
-//! * **batch queries** — `nn_batch`/`knn_batch` on linear scan, LAESA
-//!   and AESA parallelise across queries and reuse each query's
+//! * **batch queries** — [`MetricIndex::nn_batch`]/`knn_batch`
+//!   parallelise across queries on every backend and reuse each query's
 //!   prepared form ([`cned_core::metric::Distance::prepare`], the
 //!   Myers `Peq` bitmap cache for `d_E`) across the whole database;
 //! * **bounded evaluation** — comparisons whose exact value is only
@@ -65,13 +65,15 @@
 //! `k`, pivot budget, worker override, stats sink) and returning
 //! `Result<_, `[`SearchError`]`>` instead of panicking. Range (radius)
 //! search is answered with triangle-inequality pruning on every
-//! backend. The pre-trait inherent methods and free functions remain
-//! as `#[deprecated]` forwarders for one release.
+//! backend. Each backend implements a single search loop generic over
+//! a [`collect::Collector`]; the [`index`] module docs explain how
+//! that one loop answers NN, k-NN and range queries.
 
 // No unsafe here, enforced at compile time (and by cned-lint).
 #![forbid(unsafe_code)]
 
 pub mod aesa;
+pub mod collect;
 pub mod counter;
 pub mod error;
 pub mod index;
@@ -83,13 +85,12 @@ pub mod tombstone;
 pub mod vptree;
 
 pub use aesa::Aesa;
+pub use collect::{AnyCollector, Collector, TopK, Within};
 pub use counter::CountingDistance;
 pub use error::SearchError;
 pub use index::{InsertableIndex, MetricIndex, QueryOptions};
 pub use laesa::Laesa;
 pub use linear::LinearIndex;
-#[allow(deprecated)]
-pub use linear::{linear_knn, linear_knn_batch, linear_nn, linear_nn_batch};
 pub use parallel::{num_threads, par_map, par_map_with, workers_for};
 pub use pivots::{select_pivots_max_sum, select_pivots_random};
 pub use tombstone::TombstoneSet;

@@ -7,44 +7,42 @@
 //! backends' tests.
 //!
 //! The public surface is [`LinearIndex`], the simplest
-//! [`MetricIndex`] implementation; the free
-//! functions (`linear_nn`, …) are the pre-trait API, kept as
-//! deprecated forwarders for one release.
+//! [`MetricIndex`] implementation, and [`scan_into`], the scan loop it
+//! shares with the sharded serving layer's delta shard.
 //!
 //! Even the exhaustive scan benefits from the throughput machinery:
 //! the query is [prepared](cned_core::metric::Distance::prepare) once
 //! (for `d_E` that caches the Myers `Peq` bitmaps), each comparison is
-//! requested with the current best as an early-exit budget, and the
-//! batch entry points fan out across queries on all cores.
+//! requested with the collector's current budget as an early-exit
+//! bound, and the batch entry points fan out across queries on all
+//! cores.
 
+use crate::collect::{AnyCollector, Collector};
 use crate::error::SearchError;
-use crate::index::{InsertableIndex, MetricIndex, QueryOptions};
-use crate::parallel::par_map;
+use crate::index::{InsertableIndex, MetricIndex};
 use crate::tombstone::TombstoneSet;
-use crate::{Neighbour, SearchStats};
+use crate::SearchStats;
 use cned_core::lanes::LANES;
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
 
-/// Advance a running nearest-neighbour incumbent over `db` in
-/// lane-sized bounded batches (database indices offset by `base`).
+/// Offer every element of `db` to `collector` (database indices offset
+/// by `base`), scored in lane-sized bounded batches.
 ///
-/// Each batch of up to [`LANES`] candidates is scored through
-/// [`PreparedQuery::distance_to_batch_bounded`] with the incumbent at
-/// the batch boundary as the shared budget. The budget is only ever
+/// Each batch of up to [`LANES`] candidates goes through
+/// [`PreparedQuery::distance_to_batch_bounded`] with the collector's
+/// budget at the batch boundary. For k-NN that budget is only ever
 /// *looser* than the serial per-candidate budget, so the admitted set
-/// is a superset of the serial one — and since admission into `best`
-/// still goes through [`Neighbour::better_than`], the final incumbent
-/// (index and distance bits) is identical to the one-at-a-time scan.
-///
-/// Shared by [`LinearIndex`], the LAESA candidate phase and the
-/// sharded serving layer's delta-shard scans, so every exhaustive
-/// sweep in the workspace rides the lane kernels.
-pub fn nn_scan_into<S: Symbol>(
+/// is a superset of the serial one, and the collector's canonical
+/// ordering keeps the final answer (indices and distance bits)
+/// identical to the one-at-a-time scan; for range the budget is fixed
+/// and batching changes nothing. Costs `db.len()` distance
+/// computations.
+pub fn scan_into<S: Symbol, C: Collector>(
     db: &[Vec<S>],
     prepared: &dyn PreparedQuery<S>,
     base: usize,
-    best: &mut Neighbour,
+    collector: &mut C,
 ) {
     let mut out = [None; LANES];
     let mut refs: [&[S]; LANES] = [&[]; LANES];
@@ -54,173 +52,15 @@ pub fn nn_scan_into<S: Symbol>(
         }
         prepared.distance_to_batch_bounded(
             &refs[..chunk.len()],
-            best.distance,
+            collector.budget(),
             &mut out[..chunk.len()],
         );
         for (i, d) in out[..chunk.len()].iter().enumerate() {
             if let Some(d) = *d {
-                let candidate = Neighbour {
-                    index: base + c * LANES + i,
-                    distance: d,
-                };
-                if candidate.better_than(best) {
-                    *best = candidate;
-                }
+                collector.offer(base + c * LANES + i, d);
             }
         }
     }
-}
-
-/// Advance a sorted top-`k` list over `db` in lane-sized bounded
-/// batches (indices offset by `base`); `best` stays in canonical
-/// (distance, index) order and never exceeds `k` entries.
-///
-/// Batch-boundary budgets admit a superset of the serial scan (see
-/// [`nn_scan_into`]); sorted insertion + truncation keeps the final
-/// list identical to it.
-pub fn knn_scan_into<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    k: usize,
-    radius: f64,
-    base: usize,
-    best: &mut Vec<Neighbour>,
-) {
-    if k == 0 {
-        return;
-    }
-    let mut out = [None; LANES];
-    let mut refs: [&[S]; LANES] = [&[]; LANES];
-    for (c, chunk) in db.chunks(LANES).enumerate() {
-        // Until k in-radius elements are known, the admission budget
-        // is the radius itself; afterwards the current k-th distance.
-        let budget = if best.len() < k {
-            radius
-        } else {
-            best[k - 1].distance
-        };
-        for (i, item) in chunk.iter().enumerate() {
-            refs[i] = item;
-        }
-        prepared.distance_to_batch_bounded(&refs[..chunk.len()], budget, &mut out[..chunk.len()]);
-        for (i, d) in out[..chunk.len()].iter().enumerate() {
-            let Some(d) = *d else {
-                continue;
-            };
-            // A rejected bounded evaluation can surface as +inf; it
-            // must never enter the result set, even at an infinite
-            // radius.
-            if !d.is_finite() {
-                continue;
-            }
-            let candidate = Neighbour {
-                index: base + c * LANES + i,
-                distance: d,
-            };
-            let pos = best
-                .binary_search_by(|nb| nb.ordering(&candidate))
-                .unwrap_or_else(|e| e);
-            best.insert(pos, candidate);
-            best.truncate(k);
-        }
-    }
-}
-
-/// Append every element of `db` within `radius` (inclusive) to `hits`
-/// in lane-sized batches (indices offset by `base`). The caller sorts;
-/// the fixed radius means batching cannot change the admitted set at
-/// all.
-pub fn range_scan_into<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    radius: f64,
-    base: usize,
-    hits: &mut Vec<Neighbour>,
-) {
-    let mut out = [None; LANES];
-    let mut refs: [&[S]; LANES] = [&[]; LANES];
-    for (c, chunk) in db.chunks(LANES).enumerate() {
-        for (i, item) in chunk.iter().enumerate() {
-            refs[i] = item;
-        }
-        prepared.distance_to_batch_bounded(&refs[..chunk.len()], radius, &mut out[..chunk.len()]);
-        for (i, d) in out[..chunk.len()].iter().enumerate() {
-            if let Some(d) = *d {
-                if d.is_finite() {
-                    hits.push(Neighbour {
-                        index: base + c * LANES + i,
-                        distance: d,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Nearest neighbour of a prepared query within `radius` by
-/// exhaustive scan: `(None, stats)` when nothing lies within the
-/// radius. Shared by [`LinearIndex`] and the deprecated free
-/// functions.
-pub(crate) fn nn_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    radius: f64,
-) -> (Option<Neighbour>, SearchStats) {
-    // The radius doubles as a virtual incumbent: any real candidate at
-    // d <= radius beats it (usize::MAX loses every index tie-break,
-    // and an infinite distance never wins a tie).
-    let mut best = Neighbour {
-        index: usize::MAX,
-        distance: radius,
-    };
-    nn_scan_into(db, prepared, 0, &mut best);
-    let found = (best.index != usize::MAX).then_some(best);
-    (
-        found,
-        SearchStats {
-            distance_computations: db.len() as u64,
-        },
-    )
-}
-
-/// The `k` nearest neighbours of a prepared query within `radius`, in
-/// canonical (distance, index) order.
-pub(crate) fn knn_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    k: usize,
-    radius: f64,
-) -> (Vec<Neighbour>, SearchStats) {
-    let stats = SearchStats {
-        distance_computations: db.len() as u64,
-    };
-    // Current k best, kept sorted by the canonical (distance, index)
-    // ordering — the same rule every other search path uses, so equal-
-    // distance ties always resolve to the smallest database index and
-    // the k-th boundary admits d == kth only to be truncated away:
-    // exactly the sort-and-truncate outcome, independent of visit
-    // order.
-    let mut best: Vec<Neighbour> = Vec::with_capacity(k.min(db.len()) + 1);
-    knn_scan_into(db, prepared, k, radius, 0, &mut best);
-    (best, stats)
-}
-
-/// Every element within `radius` (inclusive) of a prepared query, in
-/// canonical order.
-pub(crate) fn range_scan<S: Symbol>(
-    db: &[Vec<S>],
-    prepared: &dyn PreparedQuery<S>,
-    radius: f64,
-) -> (Vec<Neighbour>, SearchStats) {
-    let mut hits: Vec<Neighbour> = Vec::new();
-    range_scan_into(db, prepared, radius, 0, &mut hits);
-    hits.sort_by(|a, b| a.ordering(b));
-    (
-        hits,
-        SearchStats {
-            distance_computations: db.len() as u64,
-        },
-    )
 }
 
 /// The exhaustive-scan [`MetricIndex`]: no preprocessing, `n` distance
@@ -275,70 +115,19 @@ impl<S: Symbol> MetricIndex<S> for LinearIndex<S> {
         self.db.get(i).map(Vec::as_slice)
     }
 
-    fn nn(
+    fn search(
         &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        _pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        match collector {
+            AnyCollector::TopK(c) => scan_into(&self.db, prepared, 0, c),
+            AnyCollector::Within(c) => scan_into(&self.db, prepared, 0, c),
         }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (found, stats) = nn_scan(&self.db, &*prepared, radius);
-            opts.record(stats);
-            return Ok((found, stats));
+        SearchStats {
+            distance_computations: self.db.len() as u64,
         }
-        // Over-fetch: with T tombstones, at most T of the top 1+T
-        // answers can be dead, so the first survivor is the true NN.
-        let (hits, stats) = knn_scan(&self.db, &*prepared, 1 + self.tombstones.count(), radius);
-        let found = self.tombstones.first_live(&hits);
-        opts.record(stats);
-        Ok((found, stats))
-    }
-
-    fn knn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        if self.tombstones.is_empty() {
-            let (best, stats) = knn_scan(&self.db, &*prepared, opts.k, radius);
-            opts.record(stats);
-            return Ok((best, stats));
-        }
-        // Over-fetch k + T answers, filter the dead, truncate to k.
-        let want = opts.k.saturating_add(self.tombstones.count());
-        let (mut best, stats) = knn_scan(&self.db, &*prepared, want, radius);
-        self.tombstones.retain_live(&mut best);
-        best.truncate(opts.k);
-        opts.record(stats);
-        Ok((best, stats))
-    }
-
-    fn range(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        if self.db.is_empty() {
-            return Err(SearchError::EmptyDatabase);
-        }
-        let radius = opts.checked_radius()?;
-        let prepared = dist.prepare(query);
-        let (mut hits, stats) = range_scan(&self.db, &*prepared, radius);
-        self.tombstones.retain_live(&mut hits);
-        opts.record(stats);
-        Ok((hits, stats))
     }
 
     fn delete(&mut self, index: usize) -> Result<bool, SearchError> {
@@ -372,92 +161,11 @@ impl<S: Symbol> InsertableIndex<S> for LinearIndex<S> {
     }
 }
 
-/// Nearest neighbour of `query` in `db` by exhaustive scan.
-///
-/// Ties are broken towards the smallest database index (the canonical
-/// ordering of [`Neighbour::better_than`], shared with all backends).
-/// Returns `None` on an empty database.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::nn` (or the `cned::Database` facade)"
-)]
-pub fn linear_nn<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    query: &[S],
-    dist: &D,
-) -> Option<(Neighbour, SearchStats)> {
-    if db.is_empty() {
-        return None;
-    }
-    let prepared = dist.prepare(query);
-    let (found, stats) = nn_scan(db, &*prepared, f64::INFINITY);
-    found.map(|nb| (nb, stats))
-}
-
-/// The `k` nearest neighbours of `query` in `db`, sorted by increasing
-/// distance (ties towards smaller index). Returns fewer than `k`
-/// entries when the database is smaller than `k`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::knn` (or the `cned::Database` facade)"
-)]
-pub fn linear_knn<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    query: &[S],
-    dist: &D,
-    k: usize,
-) -> (Vec<Neighbour>, SearchStats) {
-    let prepared = dist.prepare(query);
-    knn_scan(db, &*prepared, k, f64::INFINITY)
-}
-
-/// `linear_nn` for a batch of queries, parallelised across queries;
-/// each worker prepares its query once. Returns `None` on an empty
-/// database (mirroring the single-query API).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::nn_batch` (or the `cned::Database` facade)"
-)]
-pub fn linear_nn_batch<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    queries: &[Vec<S>],
-    dist: &D,
-) -> Option<Vec<(Neighbour, SearchStats)>> {
-    if db.is_empty() {
-        return None;
-    }
-    Some(par_map(queries.len(), |q| {
-        let prepared = dist.prepare(&queries[q]);
-        let (found, stats) = nn_scan(db, &*prepared, f64::INFINITY);
-        (found.expect("database checked non-empty"), stats)
-    }))
-}
-
-/// `linear_knn` for a batch of queries, parallelised across queries.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `LinearIndex::new(db)` with `MetricIndex::knn_batch` (or the `cned::Database` facade)"
-)]
-pub fn linear_knn_batch<S: Symbol, D: Distance<S> + ?Sized>(
-    db: &[Vec<S>],
-    queries: &[Vec<S>],
-    dist: &D,
-    k: usize,
-) -> Vec<(Vec<Neighbour>, SearchStats)> {
-    par_map(queries.len(), |q| {
-        let prepared = dist.prepare(&queries[q]);
-        knn_scan(db, &*prepared, k, f64::INFINITY)
-    })
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated free functions stay pinned by these tests until
-    // the forwarders are removed; they share their cores with
-    // `LinearIndex`, so this also covers the trait path's scan logic.
-    #![allow(deprecated)]
-
     use super::*;
+    use crate::index::QueryOptions;
+    use crate::Neighbour;
     use cned_core::levenshtein::Levenshtein;
 
     fn db() -> Vec<Vec<u8>> {
@@ -467,19 +175,28 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn finds_the_obvious_neighbour() {
-        let (nn, stats) = linear_nn(&db(), b"casa", &Levenshtein).unwrap();
-        assert_eq!(nn.index, 0);
-        assert_eq!(nn.distance, 0.0);
-        assert_eq!(stats.distance_computations, 5);
+    fn nn(db: &[Vec<u8>], q: &[u8], dist: &dyn Distance<u8>) -> (Neighbour, SearchStats) {
+        let idx = LinearIndex::new(db.to_vec());
+        let (nb, stats) = idx.nn(q, dist, &QueryOptions::new()).unwrap();
+        (nb.expect("infinite radius always finds"), stats)
+    }
+
+    fn knn(
+        db: &[Vec<u8>],
+        q: &[u8],
+        dist: &dyn Distance<u8>,
+        k: usize,
+    ) -> (Vec<Neighbour>, SearchStats) {
+        let idx = LinearIndex::new(db.to_vec());
+        idx.knn(q, dist, &QueryOptions::new().k(k)).unwrap()
     }
 
     #[test]
-    fn empty_db_returns_none() {
-        let db: Vec<Vec<u8>> = Vec::new();
-        assert!(linear_nn(&db, b"x", &Levenshtein).is_none());
-        assert!(linear_nn_batch(&db, &[b"x".to_vec()], &Levenshtein).is_none());
+    fn finds_the_obvious_neighbour() {
+        let (nn, stats) = nn(&db(), b"casa", &Levenshtein);
+        assert_eq!(nn.index, 0);
+        assert_eq!(nn.distance, 0.0);
+        assert_eq!(stats.distance_computations, 5);
     }
 
     #[test]
@@ -518,22 +235,6 @@ mod tests {
                 idx.range(b"casa", &Levenshtein, &opts),
                 Err(SearchError::InvalidRadius { .. })
             ));
-        }
-    }
-
-    #[test]
-    fn trait_nn_matches_free_function() {
-        let idx = LinearIndex::new(db());
-        let opts = QueryOptions::new();
-        for q in [&b"casa"[..], b"tazas", b"", b"mesa"] {
-            let (legacy, lstats) = linear_nn(idx.database(), q, &Levenshtein).unwrap();
-            let (nb, stats) = idx.nn(q, &Levenshtein, &opts).unwrap();
-            let nb = nb.unwrap();
-            assert_eq!(
-                (nb.index, nb.distance.to_bits()),
-                (legacy.index, legacy.distance.to_bits())
-            );
-            assert_eq!(stats, lstats);
         }
     }
 
@@ -581,7 +282,7 @@ mod tests {
     #[test]
     fn tie_breaks_to_first_index() {
         let db: Vec<Vec<u8>> = vec![b"aa".to_vec(), b"bb".to_vec()];
-        let (nn, _) = linear_nn(&db, b"ab", &Levenshtein).unwrap();
+        let (nn, _) = nn(&db, b"ab", &Levenshtein);
         assert_eq!(nn.index, 0);
     }
 
@@ -625,7 +326,7 @@ mod tests {
         // NaN flows through distance_to_bounded; the default
         // Distance::distance_bounded impl asserts there.
         let db: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"zz".to_vec()];
-        let _ = linear_nn(&db, b"zz", &BrokenCostTable);
+        let _ = nn(&db, b"zz", &BrokenCostTable);
     }
 
     #[test]
@@ -635,12 +336,12 @@ mod tests {
         // is false), so the poisoned candidate is simply skipped and
         // the genuine zero-distance match still wins.
         let db: Vec<Vec<u8>> = vec![b"ab".to_vec(), b"zz".to_vec()];
-        let (nn, _) = linear_nn(&db, b"zz", &BrokenCostTable).unwrap();
+        let (nn, _) = nn(&db, b"zz", &BrokenCostTable);
         assert_eq!(nn.index, 1);
         assert_eq!(nn.distance, 0.0);
         // k-NN: the NaN candidate is rejected by the admission budget,
         // not inserted with a scrambled sort order.
-        let (nns, _) = linear_knn(&db, b"zz", &BrokenCostTable, 2);
+        let (nns, _) = knn(&db, b"zz", &BrokenCostTable, 2);
         assert_eq!(nns.len(), 1);
         assert_eq!(nns[0].index, 1);
     }
@@ -655,14 +356,14 @@ mod tests {
             b"dup".to_vec(),
             b"dup".to_vec(),
         ];
-        let (nns, _) = linear_knn(&db, b"dup", &Levenshtein, 3);
+        let (nns, _) = knn(&db, b"dup", &Levenshtein, 3);
         let idx: Vec<usize> = nns.iter().map(|n| n.index).collect();
         assert_eq!(idx, vec![0, 2, 3]);
     }
 
     #[test]
     fn knn_sorted_and_truncated() {
-        let (nns, stats) = linear_knn(&db(), b"casa", &Levenshtein, 3);
+        let (nns, stats) = knn(&db(), b"casa", &Levenshtein, 3);
         assert_eq!(nns.len(), 3);
         assert!(nns.windows(2).all(|w| w[0].distance <= w[1].distance));
         assert_eq!(nns[0].index, 0);
@@ -671,19 +372,25 @@ mod tests {
 
     #[test]
     fn knn_with_k_larger_than_db() {
-        let (nns, _) = linear_knn(&db(), b"casa", &Levenshtein, 100);
+        let (nns, _) = knn(&db(), b"casa", &Levenshtein, 100);
         assert_eq!(nns.len(), 5);
     }
 
     #[test]
     fn knn_zero_is_empty() {
-        let (nns, _) = linear_knn(&db(), b"casa", &Levenshtein, 0);
-        assert!(nns.is_empty());
-        let idx = LinearIndex::new(db());
-        let (nns, _) = idx
-            .knn(b"casa", &Levenshtein, &QueryOptions::new().k(0))
-            .unwrap();
-        assert!(nns.is_empty());
+        // k = 0 asks for nothing, so it evaluates nothing — with or
+        // without tombstones to over-fetch past.
+        let mut idx = LinearIndex::new(db());
+        for tombstoned in [false, true] {
+            if tombstoned {
+                assert_eq!(idx.delete(1), Ok(true));
+            }
+            let (nns, stats) = idx
+                .knn(b"casa", &Levenshtein, &QueryOptions::new().k(0))
+                .unwrap();
+            assert!(nns.is_empty());
+            assert_eq!(stats.distance_computations, 0, "tombstoned: {tombstoned}");
+        }
     }
 
     #[test]
@@ -700,8 +407,7 @@ mod tests {
 
     #[test]
     fn batch_matches_single_queries() {
-        let db = db();
-        let idx = LinearIndex::new(db.clone());
+        let idx = LinearIndex::new(db());
         let opts = QueryOptions::new().threads(3);
         let queries: Vec<Vec<u8>> = vec![
             b"casa".to_vec(),
@@ -718,11 +424,10 @@ mod tests {
             assert_eq!(nn.distance, snn.distance);
             assert_eq!(stats.distance_computations, sstats.distance_computations);
         }
-        let kbatch = idx
-            .knn_batch(&queries, &Levenshtein, &QueryOptions::new().k(2))
-            .unwrap();
+        let kopts = QueryOptions::new().k(2);
+        let kbatch = idx.knn_batch(&queries, &Levenshtein, &kopts).unwrap();
         for (q, (nns, _)) in queries.iter().zip(&kbatch) {
-            let (snns, _) = linear_knn(&db, q, &Levenshtein, 2);
+            let (snns, _) = idx.knn(q, &Levenshtein, &kopts).unwrap();
             let bd: Vec<(usize, f64)> = nns.iter().map(|n| (n.index, n.distance)).collect();
             let sd: Vec<(usize, f64)> = snns.iter().map(|n| (n.index, n.distance)).collect();
             assert_eq!(bd, sd, "query {q:?}");

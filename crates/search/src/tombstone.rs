@@ -6,8 +6,8 @@
 //! deletion must not renumber anything. A [`TombstoneSet`] marks
 //! indices dead without moving survivors: queries run over the full
 //! physical corpus exactly as before and the dead are filtered out of
-//! the answer at emission time (see the over-fetch wrappers in each
-//! backend's `MetricIndex` impl). Physical removal happens only in an
+//! the answer at emission time (see the tombstone over-fetch in the
+//! provided [`crate::MetricIndex::knn`]). Physical removal happens only in an
 //! explicit vacuum/rebuild, which re-derives the set from survivors.
 //!
 //! The representation is a dense `Vec<bool>` plus a count — no hash
@@ -47,9 +47,7 @@ impl TombstoneSet {
         self.count
     }
 
-    /// Whether no index is dead. The hot-path gate: every query
-    /// wrapper checks this first and takes the historical zero-cost
-    /// path when it holds.
+    /// Whether no index is dead.
     pub fn is_empty(&self) -> bool {
         self.count == 0
     }
@@ -83,27 +81,11 @@ impl TombstoneSet {
             .map(|(i, _)| i as u64)
             .collect()
     }
-
-    /// Drop dead entries from an answer list in place, preserving
-    /// order. Used by the over-fetch wrappers after a widened query.
-    pub fn retain_live(&self, hits: &mut Vec<crate::Neighbour>) {
-        if self.is_empty() {
-            return;
-        }
-        hits.retain(|n| !self.contains(n.index));
-    }
-
-    /// First live entry of an (ordered) answer list, for NN queries
-    /// answered by an over-fetched k-NN.
-    pub fn first_live(&self, hits: &[crate::Neighbour]) -> Option<crate::Neighbour> {
-        hits.iter().find(|n| !self.contains(n.index)).copied()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Neighbour;
 
     #[test]
     fn insert_contains_count() {
@@ -131,32 +113,5 @@ mod tests {
         assert_eq!(idx, vec![0, 2, 7, 9]);
         let back = TombstoneSet::from_indices(&idx);
         assert_eq!(back, t);
-    }
-
-    #[test]
-    fn retain_and_first_live() {
-        let mut t = TombstoneSet::new();
-        t.insert(1);
-        let hits = vec![
-            Neighbour {
-                index: 1,
-                distance: 0.5,
-            },
-            Neighbour {
-                index: 4,
-                distance: 0.7,
-            },
-            Neighbour {
-                index: 2,
-                distance: 0.9,
-            },
-        ];
-        assert_eq!(t.first_live(&hits).map(|n| n.index), Some(4));
-        let mut filtered = hits.clone();
-        t.retain_live(&mut filtered);
-        assert_eq!(
-            filtered.iter().map(|n| n.index).collect::<Vec<_>>(),
-            vec![4, 2]
-        );
     }
 }

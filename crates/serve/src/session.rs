@@ -1,12 +1,10 @@
 //! The session/ticket serving API: [`ServeSession`] — a non-blocking
 //! handle over an index-owning scheduler thread.
 //!
-//! The batch API ([`crate::QueryPipeline::run`]) answers "here is a
-//! queue, block until every answer exists". A served workload is the
-//! opposite shape: requests trickle in from many callers, answers are
-//! wanted as soon as *their* chain completes, and the server must be
-//! able to say **no** when it falls behind. The session model covers
-//! that shape with three moves:
+//! A served workload has this shape: requests trickle in from many
+//! callers, answers are wanted as soon as *their* chain completes, and
+//! the server must be able to say **no** when it falls behind. The
+//! session model covers that shape with three moves:
 //!
 //! * [`ServeSession::submit`] is non-blocking: it enqueues the request
 //!   and immediately returns a [`Ticket`] tagged with the request's
@@ -26,11 +24,11 @@
 //! ## Scheduling model
 //!
 //! One scheduler thread owns the index and pulls the queue in FIFO
-//! order with exactly the in-order/insert-barrier semantics of the
-//! batch pipeline: consecutive *queries* form a chunk answered in
-//! parallel across [`cned_search::workers_for`] workers (each worker
-//! pulls whole queries from an atomic cursor, so per-query preparation
-//! happens once and results are bit-identical for any worker count);
+//! order with in-order/insert-barrier semantics: consecutive
+//! *queries* form a chunk answered in parallel across
+//! [`cned_search::workers_for`] workers (each worker pulls whole
+//! queries from an atomic cursor, so per-query preparation happens
+//! once and results are bit-identical for any worker count);
 //! an **insert** is a barrier — every earlier request is answered
 //! against the pre-insert index, every later one observes the new
 //! item. Responses are delivered per ticket the moment their query
@@ -63,7 +61,7 @@ impl std::fmt::Display for RequestId {
     }
 }
 
-/// One unit of work for a session or pipeline.
+/// One unit of work for a session.
 ///
 /// `PartialEq` compares the `Range` radius by value, so a NaN radius
 /// (which is still *served* — it answers `Failed`) compares unequal to
@@ -282,18 +280,16 @@ struct SessionState<S: Symbol> {
 }
 
 /// Queue + scheduling state shared between submitters and the
-/// scheduler (thread or scope). Lifetime-free: requests and responses
-/// are owned values, so the same machinery backs both the owned
-/// [`ServeSession`] and the scoped session inside
-/// [`crate::QueryPipeline::run`].
-pub(crate) struct SessionShared<S: Symbol> {
+/// scheduler thread. Lifetime-free: requests and responses are owned
+/// values.
+struct SessionShared<S: Symbol> {
     state: OrderedMutex<SessionState<S>>,
     /// Signalled on new work and on drain, waking the scheduler.
     work: Condvar,
 }
 
 impl<S: Symbol> SessionShared<S> {
-    pub(crate) fn new() -> SessionShared<S> {
+    fn new() -> SessionShared<S> {
         SessionShared {
             state: OrderedMutex::new(
                 rank::SESSION_STATE,
@@ -310,7 +306,7 @@ impl<S: Symbol> SessionShared<S> {
 
     /// Enqueue `request` if the queue holds fewer than `depth`
     /// entries, handing back the ticket for its response.
-    pub(crate) fn submit(&self, depth: usize, request: Request<S>) -> Result<Ticket, SearchError> {
+    fn submit(&self, depth: usize, request: Request<S>) -> Result<Ticket, SearchError> {
         let mut state = self.state.lock();
         if state.draining {
             return Err(SearchError::Shutdown);
@@ -333,7 +329,7 @@ impl<S: Symbol> SessionShared<S> {
     /// lands contiguously, the scheduler's chunking answers its
     /// queries as one parallel chunk (inserts still split it into
     /// barriers at the right positions).
-    pub(crate) fn submit_batch(
+    fn submit_batch(
         &self,
         depth: usize,
         requests: Vec<Request<S>>,
@@ -362,12 +358,12 @@ impl<S: Symbol> SessionShared<S> {
     }
 
     /// Requests accepted but not yet picked up by the scheduler.
-    pub(crate) fn pending(&self) -> usize {
+    fn pending(&self) -> usize {
         self.state.lock().queue.len()
     }
 
     /// Stop admission; the scheduler exits once the queue is drained.
-    pub(crate) fn begin_drain(&self) {
+    fn begin_drain(&self) {
         let mut state = self.state.lock();
         state.draining = true;
         self.work.notify_all();
@@ -447,10 +443,8 @@ fn answer<S: Symbol, I: MetricIndex<S> + ?Sized>(
 /// The scheduler: runs until [`SessionShared::begin_drain`] *and* an
 /// empty queue, answering every accepted request along the way.
 ///
-/// Owned sessions run this on a dedicated thread holding the index;
-/// [`crate::QueryPipeline::run`] runs it on a scoped thread borrowing
-/// the pipeline's index — one code path, two ownership shapes.
-pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
+/// Sessions run this on a dedicated thread holding the index.
+fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
     shared: &SessionShared<S>,
     index: &mut I,
     dist: &dyn Distance<S>,
@@ -548,8 +542,7 @@ pub(crate) fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
 
 /// A non-blocking serving handle: an index owned by a scheduler
 /// thread, driven through submit/ticket. See the module docs for the
-/// scheduling model and [`crate::QueryPipeline`] for the batch
-/// wrapper.
+/// scheduling model.
 ///
 /// `submit` takes `&self`, so one session can be shared (e.g. behind
 /// an [`Arc`]) by many threads or connection handlers; the scheduler

@@ -3,7 +3,7 @@
 //! [`LinearIndex`] oracle across metrics, shard counts and thread
 //! counts (NN, k-NN **and range**); deterministic tie-breaking on
 //! duplicate-heavy corpora; insert/compaction semantics; the
-//! thread-count determinism sweep; and the pipeline's in-order
+//! thread-count determinism sweep; and the session's in-order
 //! mixed-request protocol, including [`Request::Range`] and typed
 //! [`Response::Failed`] errors.
 
@@ -16,7 +16,10 @@ use cned_search::pivots::select_pivots_max_sum;
 use cned_search::{
     Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
 };
-use cned_serve::{QueryPipeline, Request, Response, ResponseBody, ShardConfig, ShardedIndex};
+use cned_serve::{
+    Request, Response, ResponseBody, ServeSession, SessionConfig, ShardConfig, ShardedIndex, Ticket,
+};
+use std::sync::Arc;
 use std::sync::Mutex;
 
 /// The thread override is process-global; tests that touch it
@@ -71,6 +74,21 @@ fn knn_of(
 
 fn key(ns: &[Neighbour]) -> Vec<(usize, u64)> {
     ns.iter().map(|n| (n.index, n.distance.to_bits())).collect()
+}
+
+/// Answer `requests` in submission order through a serve session over
+/// `index` (unbounded admission, so the whole queue is accepted up
+/// front), returning one response per request.
+fn serve<I: MetricIndex<u8> + 'static>(index: I, requests: &[Request<u8>]) -> Vec<Response> {
+    let config = SessionConfig::new().queue_depth(usize::MAX);
+    let session = ServeSession::spawn_with(index, Arc::new(Levenshtein), config);
+    let tickets: Vec<Ticket> = requests
+        .iter()
+        .map(|r| session.submit(r.clone()).expect("unbounded session"))
+        .collect();
+    let responses = tickets.into_iter().map(Ticket::wait).collect();
+    session.shutdown();
+    responses
 }
 
 #[test]
@@ -164,9 +182,9 @@ fn duplicate_strings_tie_break_serial_batch_sharded() {
 
 #[test]
 fn thread_count_determinism_sweep() {
-    // nn_batch / knn_batch / pipeline answers must be bit-identical —
+    // nn_batch / knn_batch / session answers must be bit-identical —
     // neighbours, distances, and computation counts — for any worker
-    // count. Guards the pipeline against scheduling-dependent pruning.
+    // count. Guards the scheduler against scheduling-dependent pruning.
     let _guard = THREADS_LOCK.lock().unwrap();
     let db = corpus(70, 8, 3, 201);
     let queries = corpus(13, 8, 3, 2011);
@@ -175,7 +193,7 @@ fn thread_count_determinism_sweep() {
     type KnnKey = Vec<(Vec<(usize, u64)>, u64)>;
     let mut nn_runs: Vec<NnKey> = Vec::new();
     let mut knn_runs: Vec<KnnKey> = Vec::new();
-    let mut pipeline_runs: Vec<Vec<Response>> = Vec::new();
+    let mut session_runs: Vec<Vec<Response>> = Vec::new();
     for threads in [1usize, 2, 7] {
         set_thread_override(Some(threads));
         let nn: NnKey = MetricIndex::nn_batch(&index, &queries, &Levenshtein, &QueryOptions::new())
@@ -192,9 +210,7 @@ fn thread_count_determinism_sweep() {
                 .iter()
                 .map(|(ns, st)| (key(ns), st.distance_computations))
                 .collect();
-        let mut pipeline = QueryPipeline::new(
-            ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap(),
-        );
+        let fresh = ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap();
         let requests: Vec<Request<u8>> = queries
             .iter()
             .enumerate()
@@ -210,7 +226,7 @@ fn thread_count_determinism_sweep() {
                 },
             })
             .collect();
-        pipeline_runs.push(pipeline.run(&requests, &Levenshtein));
+        session_runs.push(serve(fresh, &requests));
         nn_runs.push(nn);
         knn_runs.push(knn);
     }
@@ -219,8 +235,8 @@ fn thread_count_determinism_sweep() {
     assert_eq!(nn_runs[0], nn_runs[2], "nn_batch: 1 vs 7 threads");
     assert_eq!(knn_runs[0], knn_runs[1], "knn_batch: 1 vs 2 threads");
     assert_eq!(knn_runs[0], knn_runs[2], "knn_batch: 1 vs 7 threads");
-    assert_eq!(pipeline_runs[0], pipeline_runs[1], "pipeline: 1 vs 2");
-    assert_eq!(pipeline_runs[0], pipeline_runs[2], "pipeline: 1 vs 7");
+    assert_eq!(session_runs[0], session_runs[1], "session: 1 vs 2");
+    assert_eq!(session_runs[0], session_runs[2], "session: 1 vs 7");
 }
 
 #[test]
@@ -340,14 +356,14 @@ fn inserts_are_visible_and_compaction_preserves_answers() {
 }
 
 #[test]
-fn pipeline_inserts_are_barriers() {
+fn session_inserts_are_barriers() {
     let db = corpus(20, 6, 3, 55);
     let probe = b"zzzzzz".to_vec();
     // The probe is far from the alphabet {a,b,c} corpus, so its
     // nearest neighbour changes the moment an exact copy is inserted.
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
-    let responses = pipeline.run(
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
+    let responses = serve(
+        index,
         &[
             Request::Nn {
                 query: probe.clone(),
@@ -371,7 +387,6 @@ fn pipeline_inserts_are_barriers() {
                 radius: 0.0,
             },
         ],
-        &Levenshtein,
     );
     assert_eq!(responses.len(), 6);
     let ResponseBody::Nn {
@@ -412,7 +427,7 @@ fn pipeline_inserts_are_barriers() {
 }
 
 #[test]
-fn pipeline_range_agrees_with_linear_oracle_in_order() {
+fn session_range_agrees_with_linear_oracle_in_order() {
     // Mixed queue with inserts between range queries: every range
     // answer must equal the linear-scan filter over the index state it
     // was answered at.
@@ -428,9 +443,8 @@ fn pipeline_range_agrees_with_linear_oracle_in_order() {
             radius: 1.0 + (i % 3) as f64,
         });
     }
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap());
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let index = ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap();
+    let responses = serve(index, &requests);
     let mut oracle_db = db.clone();
     for (req, resp) in requests.iter().zip(&responses) {
         let resp = &resp.body;
@@ -451,14 +465,14 @@ fn pipeline_range_agrees_with_linear_oracle_in_order() {
 }
 
 #[test]
-fn pipeline_is_generic_over_the_trait() {
-    // The same pipeline code serves a plain LinearIndex — the trait is
+fn session_is_generic_over_the_trait() {
+    // The same session code serves a plain LinearIndex — the trait is
     // the contract, ShardedIndex merely the default backend.
     let db = corpus(25, 6, 3, 59);
     let probe = db[7].clone();
-    let mut pipeline: QueryPipeline<u8, LinearIndex<u8>> =
-        QueryPipeline::new(LinearIndex::new(db.clone()));
-    let responses = pipeline.run(
+    let index = LinearIndex::new(db.clone());
+    let responses = serve(
+        index,
         &[
             Request::Nn {
                 query: probe.clone(),
@@ -470,7 +484,6 @@ fn pipeline_is_generic_over_the_trait() {
                 query: b"zzzz".to_vec(),
             },
         ],
-        &Levenshtein,
     );
     let ResponseBody::Nn {
         neighbour: Some(nb),
@@ -540,13 +553,12 @@ fn sharded_honours_the_pivot_budget_per_shard() {
 }
 
 #[test]
-fn invalid_radius_fails_even_on_an_empty_pipeline() {
+fn invalid_radius_fails_even_on_an_empty_session() {
     // Error reporting must not depend on index state: a malformed
     // radius answers Failed whether or not anything has been inserted
     // yet.
     let empty: ShardedIndex<u8> =
         ShardedIndex::try_build(Vec::new(), ShardConfig::default(), &Levenshtein).unwrap();
-    let mut pipeline = QueryPipeline::new(empty);
     let requests = [
         Request::Range {
             query: b"abc".to_vec(),
@@ -560,7 +572,7 @@ fn invalid_radius_fails_even_on_an_empty_pipeline() {
             radius: -1.0,
         },
     ];
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let responses = serve(empty, &requests);
     for i in [0usize, 2] {
         assert!(
             matches!(
@@ -576,11 +588,11 @@ fn invalid_radius_fails_even_on_an_empty_pipeline() {
 }
 
 #[test]
-fn pipeline_surfaces_typed_errors_in_order() {
+fn session_surfaces_typed_errors_in_order() {
     let db = corpus(20, 6, 3, 61);
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
-    let responses = pipeline.run(
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
+    let responses = serve(
+        index,
         &[
             Request::Range {
                 query: db[0].clone(),
@@ -590,7 +602,6 @@ fn pipeline_surfaces_typed_errors_in_order() {
                 query: db[0].clone(),
             },
         ],
-        &Levenshtein,
     );
     assert!(
         matches!(
@@ -632,10 +643,10 @@ fn empty_index_behaves() {
         MetricIndex::range(&index, b"abc", &Levenshtein, &opts).unwrap_err(),
         SearchError::EmptyDatabase
     );
-    // …but the pipeline treats an empty index as a normal serving
+    // …but a session treats an empty index as a normal serving
     // state: empty answers, then the insert makes it servable.
-    let mut pipeline = QueryPipeline::new(index);
-    let responses = pipeline.run(
+    let responses = serve(
+        index,
         &[
             Request::Nn {
                 query: b"abc".to_vec(),
@@ -647,7 +658,6 @@ fn empty_index_behaves() {
                 query: b"abc".to_vec(),
             },
         ],
-        &Levenshtein,
     );
     assert_eq!(
         responses[0].body,
@@ -667,32 +677,31 @@ fn empty_index_behaves() {
 }
 
 #[test]
-fn legacy_inherent_paths_match_the_trait_paths() {
-    // The deprecated forwarders stay pinned to the trait results —
-    // bit-identical neighbours, distances and computation counts —
-    // until they are removed.
-    #![allow(deprecated)]
+fn sharded_paths_match_the_linear_oracle() {
+    // NN and k-NN through the sharded trait object reproduce the
+    // exhaustive scan bit for bit.
     let db = corpus(45, 7, 3, 63);
     let queries = corpus(8, 7, 3, 631);
-    let index = ShardedIndex::try_build(db, config(3), &Levenshtein).unwrap();
+    let index = ShardedIndex::try_build(db.clone(), config(3), &Levenshtein).unwrap();
+    let oracle = LinearIndex::new(db);
     for q in &queries {
-        let (legacy, legacy_stats) = index.nn(q, &Levenshtein).unwrap();
-        let (new, new_stats) = nn_of(&index, q, &Levenshtein);
+        let (want, _) = nn_of(&oracle, q, &Levenshtein);
+        let (got, _) = nn_of(&index, q, &Levenshtein);
         assert_eq!(
-            (legacy.index, legacy.distance.to_bits()),
-            (new.index, new.distance.to_bits())
+            (got.index, got.distance.to_bits()),
+            (want.index, want.distance.to_bits())
         );
-        assert_eq!(legacy_stats.total(), new_stats);
-        let (legacy_knn, _) = index.knn(q, &Levenshtein, 4);
-        assert_eq!(key(&legacy_knn), key(&knn_of(&index, q, &Levenshtein, 4)));
+        assert_eq!(
+            key(&knn_of(&index, q, &Levenshtein, 4)),
+            key(&knn_of(&oracle, q, &Levenshtein, 4))
+        );
     }
 }
 
 // ---------------------------------------------------------------------------
 // Session/ticket API
 
-use cned_serve::{RequestId, ServeSession, SessionConfig};
-use std::sync::Arc;
+use cned_serve::RequestId;
 
 /// Levenshtein slowed to `delay` per comparison — lets tests hold the
 /// scheduler busy deterministically.
@@ -919,16 +928,15 @@ fn session_over_boxed_dyn_index_answers_and_rejects_inserts_typed() {
 }
 
 #[test]
-fn pipeline_run_ids_match_request_positions() {
+fn session_ids_match_submission_order() {
     let db = corpus(25, 6, 3, 331);
-    let mut pipeline =
-        QueryPipeline::new(ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap());
+    let index = ShardedIndex::try_build(db.clone(), config(2), &Levenshtein).unwrap();
     let requests: Vec<Request<u8>> = db
         .iter()
         .take(6)
         .map(|q| Request::Nn { query: q.clone() })
         .collect();
-    let responses = pipeline.run(&requests, &Levenshtein);
+    let responses = serve(index, &requests);
     for (i, response) in responses.iter().enumerate() {
         assert_eq!(response.id, RequestId(i as u64));
     }

@@ -22,10 +22,8 @@
 //! `ServeSession` owns it like any other backend and the whole
 //! serving stack gains durability without learning anything new.
 
-use cned_core::metric::Distance;
-use cned_search::{
-    InsertableIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
-};
+use cned_core::metric::{Distance, PreparedQuery};
+use cned_search::{AnyCollector, InsertableIndex, MetricIndex, SearchError, SearchStats};
 use cned_serve::ordered::{rank, OrderedMutex};
 use cned_serve::server::ReplOp;
 use cned_serve::wire::WireSymbol;
@@ -330,31 +328,13 @@ impl<S: WireSymbol> MetricIndex<S> for Durable<S> {
         self.inner.item(i)
     }
 
-    fn nn(
+    fn search(
         &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        self.inner.nn(query, dist, opts)
-    }
-
-    fn knn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.inner.knn(query, dist, opts)
-    }
-
-    fn range(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.inner.range(query, dist, opts)
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        self.inner.search(prepared, collector, pivot_budget)
     }
 
     fn as_insertable(&mut self) -> Option<&mut dyn InsertableIndex<S>> {

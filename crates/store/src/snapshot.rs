@@ -10,11 +10,9 @@
 //! order, as the index that was saved — including the
 //! `SearchStats::distance_computations` counts queries report.
 
-use cned_core::metric::Distance;
+use cned_core::metric::{Distance, PreparedQuery};
 use cned_core::Symbol;
-use cned_search::{
-    Laesa, LinearIndex, MetricIndex, Neighbour, QueryOptions, SearchError, SearchStats,
-};
+use cned_search::{AnyCollector, Laesa, LinearIndex, MetricIndex, SearchError, SearchStats};
 use cned_serve::wire::WireSymbol;
 use cned_serve::{ShardConfig, ShardedIndex};
 use std::path::Path;
@@ -107,31 +105,13 @@ impl<S: Symbol> MetricIndex<S> for StoredIndex<S> {
         self.inner().item(i)
     }
 
-    fn nn(
+    fn search(
         &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        self.inner().nn(query, dist, opts)
-    }
-
-    fn knn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.inner().knn(query, dist, opts)
-    }
-
-    fn range(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Vec<Neighbour>, SearchStats), SearchError> {
-        self.inner().range(query, dist, opts)
+        prepared: &dyn PreparedQuery<S>,
+        collector: &mut AnyCollector,
+        pivot_budget: Option<usize>,
+    ) -> SearchStats {
+        self.inner().search(prepared, collector, pivot_budget)
     }
 
     fn delete(&mut self, index: usize) -> Result<bool, SearchError> {

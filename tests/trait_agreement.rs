@@ -1,11 +1,11 @@
 //! The unified-API agreement suite (acceptance gate of the redesign):
 //! all five backends — `LinearIndex`, `Laesa`, `Aesa`, `VpTree` and
 //! `ShardedIndex` — answer nn / knn / range through `&dyn
-//! MetricIndex<u8>` with results **bit-identical** to the
-//! pre-redesign inherent-method paths (neighbours, distances, and —
-//! where the legacy path exists — computation counts), across `d_E`,
-//! `d_YB` and `d_C`, including the canonical tie-break on
-//! duplicate-heavy corpora and the empty-corpus edge cases.
+//! MetricIndex<u8>` with results **bit-identical** to the exhaustive
+//! `LinearIndex` oracle across `d_E`, `d_YB` and `d_C`, including the
+//! canonical tie-break on duplicate-heavy corpora, pivot budgets, the
+//! empty-corpus edge cases and `k = 0`. Computation counts across
+//! commits are pinned separately by `tests/search_golden.rs`.
 
 use cned::core::contextual::exact::Contextual;
 use cned::core::levenshtein::Levenshtein;
@@ -129,97 +129,59 @@ fn all_backends_agree_on_nn_knn_and_range_for_all_metrics() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn trait_object_results_are_bit_identical_to_legacy_inherent_paths() {
-    // For each backend that had an inherent pre-redesign query path,
-    // the trait-object path must reproduce it bit for bit — including
-    // the per-query computation counts.
+fn trait_object_results_are_bit_identical_to_the_linear_oracle() {
+    // Every backend, behind `&dyn MetricIndex`, reproduces the
+    // exhaustive `LinearIndex` answer bit for bit — NN, k-NN and NN
+    // under every pivot budget — and never pays more than a scan.
     let db = corpus(50, 7, 3, 43);
     let queries = corpus(8, 7, 3, 431);
-    let opts = QueryOptions::new();
     let metrics: [&dyn Distance<u8>; 3] = [&Levenshtein, &YujianBo, &Contextual];
     for dist in metrics {
-        let pivots = select_pivots_max_sum(&db, 6, 0, dist);
-        let laesa = Laesa::try_build(db.clone(), pivots, dist).unwrap();
-        let aesa = Aesa::build(db.clone(), dist);
-        let sharded = ShardedIndex::try_build(
-            db.clone(),
-            ShardConfig {
-                shards: 3,
-                pivots_per_shard: 3,
-                compact_threshold: 8,
-                ..ShardConfig::default()
-            },
-            dist,
-        )
-        .unwrap();
-        for q in &queries {
-            let label = format!("metric {} query {q:?}", dist.name());
-            // Linear: free function vs trait.
-            let linear: &dyn MetricIndex<u8> = &LinearIndex::new(db.clone());
-            let (l_legacy, l_stats) = cned::search::linear_nn(&db, q, dist).unwrap();
-            let (l_new, l_new_stats) = linear.nn(q, dist, &opts).unwrap();
-            let l_new = l_new.unwrap();
-            assert_eq!(
-                (l_legacy.index, l_legacy.distance.to_bits(), l_stats),
-                (l_new.index, l_new.distance.to_bits(), l_new_stats),
-                "{label}"
-            );
-            let (lk_legacy, _) = cned::search::linear_knn(&db, q, dist, 5);
-            let (lk_new, _) = linear.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&lk_legacy), key(&lk_new), "{label}");
-            // LAESA.
-            let (a_legacy, a_stats) = laesa.nn(q, dist).unwrap();
-            let dyn_laesa: &dyn MetricIndex<u8> = &laesa;
-            let (a_new, a_new_stats) = dyn_laesa.nn(q, dist, &opts).unwrap();
-            let a_new = a_new.unwrap();
-            assert_eq!(
-                (a_legacy.index, a_legacy.distance.to_bits(), a_stats),
-                (a_new.index, a_new.distance.to_bits(), a_new_stats),
-                "{label}"
-            );
-            let (ak_legacy, ak_stats) = laesa.knn(q, dist, 5);
-            let (ak_new, ak_new_stats) = dyn_laesa.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&ak_legacy), key(&ak_new), "{label}");
-            assert_eq!(ak_stats, ak_new_stats, "{label}");
-            // nn_limited ↔ pivot_budget.
-            for limit in [0usize, 2, 6] {
-                let (p_legacy, p_stats) = laesa.nn_limited(q, dist, limit).unwrap();
-                let (p_new, p_new_stats) = dyn_laesa
-                    .nn(q, dist, &QueryOptions::new().pivot_budget(limit))
-                    .unwrap();
-                let p_new = p_new.unwrap();
-                assert_eq!(
-                    (p_legacy.index, p_legacy.distance.to_bits(), p_stats),
-                    (p_new.index, p_new.distance.to_bits(), p_new_stats),
-                    "{label} limit {limit}"
+        let oracle = LinearIndex::new(db.clone());
+        for index in backends(&db, dist) {
+            for q in &queries {
+                let label = format!(
+                    "backend {} metric {} query {q:?}",
+                    index.backend_name(),
+                    dist.name()
                 );
+                let k5 = QueryOptions::new().k(5);
+                let (want, want_stats) = oracle.knn(q, dist, &k5).unwrap();
+                assert_eq!(want_stats.distance_computations, db.len() as u64);
+                let (got, stats) = index.knn(q, dist, &k5).unwrap();
+                assert_eq!(key(&got), key(&want), "{label}");
+                assert!(stats.distance_computations <= db.len() as u64, "{label}");
+                for budget in [None, Some(0), Some(2), Some(6)] {
+                    let mut opts = QueryOptions::new();
+                    if let Some(p) = budget {
+                        opts = opts.pivot_budget(p);
+                    }
+                    let (nn, stats) = index.nn(q, dist, &opts).unwrap();
+                    let nn: Vec<Neighbour> = nn.into_iter().collect();
+                    assert_eq!(key(&nn), key(&want[..1]), "{label} budget {budget:?}");
+                    assert!(stats.distance_computations <= db.len() as u64, "{label}");
+                }
             }
-            // AESA.
-            let (e_legacy, e_stats) = aesa.nn(q, dist).unwrap();
-            let dyn_aesa: &dyn MetricIndex<u8> = &aesa;
-            let (e_new, e_new_stats) = dyn_aesa.nn(q, dist, &opts).unwrap();
-            let e_new = e_new.unwrap();
-            assert_eq!(
-                (e_legacy.index, e_legacy.distance.to_bits(), e_stats),
-                (e_new.index, e_new.distance.to_bits(), e_new_stats),
-                "{label}"
-            );
-            // Sharded.
-            let (s_legacy, s_stats) = sharded.nn(q, dist).unwrap();
-            let dyn_sharded: &dyn MetricIndex<u8> = &sharded;
-            let (s_new, s_new_stats) = dyn_sharded.nn(q, dist, &opts).unwrap();
-            let s_new = s_new.unwrap();
-            assert_eq!(
-                (s_legacy.index, s_legacy.distance.to_bits(), s_stats.total()),
-                (s_new.index, s_new.distance.to_bits(), s_new_stats),
-                "{label}"
-            );
-            let (sk_legacy, sk_stats) = sharded.knn(q, dist, 5);
-            let (sk_new, sk_new_stats) =
-                dyn_sharded.knn(q, dist, &QueryOptions::new().k(5)).unwrap();
-            assert_eq!(key(&sk_legacy), key(&sk_new), "{label}");
-            assert_eq!(sk_stats.total(), sk_new_stats, "{label}");
+        }
+    }
+}
+
+#[test]
+fn knn_zero_is_empty_and_free_on_every_backend() {
+    // k = 0 asks for nothing, so no backend evaluates anything — not
+    // even the tombstone over-fetch of a corpus with deletes.
+    let db = corpus(30, 6, 3, 59);
+    let opts = QueryOptions::new().k(0);
+    for mut index in backends(&db, &Levenshtein) {
+        for tombstoned in [false, true] {
+            if tombstoned {
+                assert_eq!(index.delete(3), Ok(true));
+                assert_eq!(index.delete(17), Ok(true));
+            }
+            let label = format!("{} tombstoned: {tombstoned}", index.backend_name());
+            let (hits, stats) = index.knn(b"abc", &Levenshtein, &opts).unwrap();
+            assert!(hits.is_empty(), "{label}");
+            assert_eq!(stats.distance_computations, 0, "{label}");
         }
     }
 }
@@ -290,8 +252,9 @@ fn batch_paths_match_single_paths_behind_the_trait() {
 #[test]
 fn facade_end_to_end_with_sharding_and_range() {
     // The acceptance-criteria scenario: Database::builder with shards,
-    // plus range queries through the pipeline.
-    use cned::serve::{QueryPipeline, Request, ResponseBody};
+    // plus range queries through a serve session.
+    use cned::serve::{Request, Response, ResponseBody, ServeSession, Ticket};
+    use std::sync::Arc;
     let words = corpus(60, 6, 3, 53);
     let db = Database::builder(words.clone())
         .metric(Metric::Levenshtein)
@@ -310,7 +273,7 @@ fn facade_end_to_end_with_sharding_and_range() {
         .map(|(i, d)| (i, d.to_bits()))
         .collect();
     assert_eq!(key(&hits), oracle);
-    // Range through the pipeline, in-order with an insert barrier.
+    // Range through a serve session, in order with an insert barrier.
     let index = ShardedIndex::try_build(
         words.clone(),
         ShardConfig {
@@ -322,10 +285,10 @@ fn facade_end_to_end_with_sharding_and_range() {
         &Levenshtein,
     )
     .unwrap();
-    let mut pipeline = QueryPipeline::new(index);
+    let session = ServeSession::spawn(index, Arc::new(Levenshtein));
     let far = b"zzzzz".to_vec();
-    let responses = pipeline.run(
-        &[
+    let tickets = session
+        .submit_batch(vec![
             Request::Range {
                 query: far.clone(),
                 radius: 0.0,
@@ -335,9 +298,10 @@ fn facade_end_to_end_with_sharding_and_range() {
                 query: far.clone(),
                 radius: 0.0,
             },
-        ],
-        &Levenshtein,
-    );
+        ])
+        .unwrap();
+    let responses: Vec<Response> = tickets.into_iter().map(Ticket::wait).collect();
+    session.shutdown();
     let ResponseBody::Range { neighbours, .. } = &responses[0].body else {
         panic!("expected Range, got {:?}", responses[0]);
     };
