@@ -8,7 +8,9 @@
 //! Entries are keyed on the **canonicalised** query: the request kind,
 //! the query string, the metric's name, and the [`QueryOptions`]
 //! fields that can change the answer (`radius`, `k` for k-NN,
-//! `pivot_budget`). `threads` and `stats_sink` never affect answers
+//! `pivot_budget`). NN is k-NN with `k = 1` (the provided
+//! [`MetricIndex::nn`]), so an NN query and a 1-NN query share one
+//! entry. `threads` and `stats_sink` never affect answers
 //! and are excluded. A hit replays the stored neighbours *and* the
 //! stored [`SearchStats`] — bit-identical to the call that populated
 //! the entry.
@@ -95,7 +97,6 @@ pub struct CacheStats {
     pub invalidations: u64,
 }
 
-const KIND_NN: u8 = 0;
 const KIND_KNN: u8 = 1;
 const KIND_RANGE: u8 = 2;
 
@@ -110,16 +111,18 @@ struct Key<S> {
     /// `opts.radius.to_bits()`; NaN radii are never cached (they are
     /// typed errors).
     radius_bits: u64,
-    /// `opts.k` for k-NN, `0` otherwise (NN and range ignore `k`).
+    /// `opts.k` for k-NN (NN is k-NN with `k = 1`), `0` for range,
+    /// which ignores `k`.
     k: usize,
     /// `opts.pivot_budget`, `u64::MAX` for "all pivots".
     pivot_budget: u64,
 }
 
-#[derive(Clone)]
-enum Answer {
-    Nn(Option<Neighbour>, SearchStats),
-    Many(Vec<Neighbour>, SearchStats),
+/// A cached k-NN or range answer.
+#[derive(Clone, Default)]
+struct Answer {
+    hits: Vec<Neighbour>,
+    stats: SearchStats,
 }
 
 const NONE: usize = usize::MAX;
@@ -240,7 +243,7 @@ impl<S: Symbol + Hash> Shard<S> {
             self.unlink(victim);
             self.map.remove(&self.slots[victim].key);
             self.weight -= self.slots[victim].weight;
-            self.slots[victim].answer = Answer::Nn(None, SearchStats::default());
+            self.slots[victim].answer = Answer::default();
             self.slots[victim].key.query = Vec::new();
             self.free.push(victim);
         }
@@ -450,7 +453,8 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
     }
 
     /// The uncached search loop of the wrapped index (the cache sits
-    /// in front of whole answers, in `nn`/`knn`/`range`).
+    /// in front of whole answers, in `knn` and `range`; NN reaches
+    /// `knn` through the provided `nn`).
     fn search(
         &self,
         prepared: &dyn PreparedQuery<S>,
@@ -458,47 +462,6 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         pivot_budget: Option<usize>,
     ) -> SearchStats {
         self.inner.search(prepared, collector, pivot_budget)
-    }
-
-    fn nn(
-        &self,
-        query: &[S],
-        dist: &dyn Distance<S>,
-        opts: &QueryOptions,
-    ) -> Result<(Option<Neighbour>, SearchStats), SearchError> {
-        if !self.cacheable(opts) {
-            return self.inner.nn(query, dist, opts);
-        }
-        let key = Self::key(KIND_NN, query, dist, opts);
-        let shard = self.shard_for(&key);
-        if let Some(Answer::Nn(nb, stats)) = shard.lock().expect("cache shard lock").get(&key) {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            opts.record(stats);
-            return Ok((nb, stats));
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let mut eff = opts.clone();
-        if let Some(bound) = self.seed_bound(shard, query, dist, 1) {
-            if bound.total_cmp(&eff.radius).is_lt() {
-                eff.radius = bound;
-                self.counters.seeded.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let (nb, stats) = self.inner.nn(query, dist, &eff)?;
-        let mut guard = shard.lock().expect("cache shard lock");
-        guard.insert(
-            key,
-            Answer::Nn(nb, stats),
-            1 + stats.distance_computations,
-            self.config.shard_capacity,
-        );
-        guard.remember_seed(
-            query,
-            dist.name(),
-            nb.iter().map(|n| n.distance).collect(),
-            self.config.seed_ring,
-        );
-        Ok((nb, stats))
     }
 
     fn knn(
@@ -512,7 +475,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         }
         let key = Self::key(KIND_KNN, query, dist, opts);
         let shard = self.shard_for(&key);
-        if let Some(Answer::Many(hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
+        if let Some(Answer { hits, stats }) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             opts.record(stats);
             return Ok((hits, stats));
@@ -529,7 +492,10 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let mut guard = shard.lock().expect("cache shard lock");
         guard.insert(
             key,
-            Answer::Many(hits.clone(), stats),
+            Answer {
+                hits: hits.clone(),
+                stats,
+            },
             1 + stats.distance_computations,
             self.config.shard_capacity,
         );
@@ -553,7 +519,7 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         }
         let key = Self::key(KIND_RANGE, query, dist, opts);
         let shard = self.shard_for(&key);
-        if let Some(Answer::Many(hits, stats)) = shard.lock().expect("cache shard lock").get(&key) {
+        if let Some(Answer { hits, stats }) = shard.lock().expect("cache shard lock").get(&key) {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             opts.record(stats);
             return Ok((hits, stats));
@@ -564,7 +530,10 @@ impl<S: Symbol + Hash, I: MetricIndex<S>> MetricIndex<S> for CachedIndex<S, I> {
         let mut guard = shard.lock().expect("cache shard lock");
         guard.insert(
             key,
-            Answer::Many(hits.clone(), stats),
+            Answer {
+                hits: hits.clone(),
+                stats,
+            },
             1 + stats.distance_computations,
             self.config.shard_capacity,
         );
@@ -641,6 +610,27 @@ mod tests {
             b.map(|n| (n.index, n.distance.to_bits()))
         );
         assert_eq!(s1, s2, "a hit replays the original statistics");
+        let stats = index.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn nn_and_one_nn_share_one_entry() {
+        let index = cached();
+        let opts = QueryOptions::new();
+        let (knn, s1) = index
+            .knn(b"cesa", &Levenshtein, &opts.clone().k(1))
+            .unwrap();
+        let (nn, s2) = index.nn(b"cesa", &Levenshtein, &opts).unwrap();
+        assert_eq!(
+            knn.iter()
+                .map(|n| (n.index, n.distance.to_bits()))
+                .collect::<Vec<_>>(),
+            nn.iter()
+                .map(|n| (n.index, n.distance.to_bits()))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(s1, s2, "the NN hit replays the 1-NN statistics");
         let stats = index.cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
     }

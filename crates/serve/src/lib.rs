@@ -21,11 +21,12 @@
 //!   their answers) under one id, plus typed error codes mapping
 //!   [`cned_search::SearchError`] both ways;
 //! * [`server`] / [`client`] — [`Server`]: a readiness-based
-//!   **event-loop** `std::net` front-end — a fixed pool of sweep
-//!   threads drives every non-blocking connection (per-connection
-//!   [`wire::FrameBuffer`] reassembly, bounded outbox backpressure,
-//!   an in-band connection-cap rejection frame, idle timeouts,
-//!   draining shutdown) and shares one session across all
+//!   **event-loop** `std::net` front-end (Unix-only) — a fixed pool
+//!   of threads, each blocking in `poll(2)` until a socket or its
+//!   [`Waker`] is ready, drives every non-blocking connection
+//!   (per-connection [`wire::FrameBuffer`] reassembly, bounded outbox
+//!   backpressure, an in-band connection-cap rejection frame, idle
+//!   timeouts, draining shutdown) and shares one session across all
 //!   connections; [`Client`]: a pipelined client with buffered
 //!   (explicitly flushed) submission, connect/read deadlines
 //!   ([`ClientConfig`]), and batch calls ([`Client::nn_batch`] /
@@ -76,11 +77,17 @@
 //! each lowers build cost and tail latency, fewer shards with more
 //! pivots minimises total distance computations.
 
-// No unsafe here, enforced at compile time (and by cned-lint).
-#![forbid(unsafe_code)]
+// The one `poll(2)` call in `readiness` is the only unsafe code here;
+// every unsafe operation must sit in an explicit, SAFETY-commented
+// block (enforced by cned-lint).
+#![deny(unsafe_op_in_unsafe_fn)]
+
+#[cfg(not(unix))]
+compile_error!("cned-serve is Unix-only: its server waits on sockets with poll(2)");
 
 pub mod client;
 pub mod ordered;
+mod readiness;
 pub mod server;
 pub mod session;
 pub mod sharded;
@@ -88,7 +95,7 @@ pub mod wire;
 
 pub use client::{BatchTicket, Client, ClientConfig, ClientError};
 pub use ordered::{OrderedGuard, OrderedMutex};
-pub use server::{ReplOp, ReplicaHub, Server, ServerConfig};
+pub use server::{ReplOp, ReplicaHub, Server, ServerConfig, Waker};
 pub use session::{
     Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, SessionHandle, Ticket,
 };

@@ -1,20 +1,39 @@
 //! [`Server`] — a readiness-based event-loop TCP front-end over one
 //! shared [`ServeSession`].
 //!
-//! The PR 5 server spent **two OS threads per connection** (reader +
-//! writer), which caps concurrent connections far below the serving
-//! goal. This server runs a **fixed pool** of event-loop threads
-//! ([`ServerConfig::event_loop_threads`], plus one accept thread and
-//! the session's scheduler), each driving many non-blocking
-//! `std::net` sockets with a hand-rolled readiness sweep: every tick
-//! it reads whatever bytes each socket has (partial frames pend in a
-//! per-connection [`FrameBuffer`]), polls in-flight tickets, and
-//! pushes completed responses through a per-connection outbox with
-//! **one buffered write per sweep** — pipelined responses coalesce
-//! into a single `write(2)` instead of one flushed syscall per frame.
-//! There is no tokio/epoll in the offline build environment; a
-//! non-blocking `read` *is* the readiness probe, and the loop sleeps
-//! briefly only when a whole sweep moved no bytes.
+//! ## Threads and wake-ups
+//!
+//! The thread count is fixed, whatever the number of connections: a
+//! pool of event-loop threads ([`ServerConfig::event_loop_threads`]),
+//! one accept thread, and the session's scheduler. Each event loop
+//! owns many non-blocking `std::net` sockets and repeats one
+//! *sweep*: it reads what each ready socket has (partial frames pend
+//! in a per-connection [`FrameBuffer`]), submits complete frames,
+//! collects answered tickets, and pushes the answers through a
+//! per-connection outbox with **one buffered write per sweep**, so
+//! pipelined responses coalesce into a single `write(2)`.
+//!
+//! Between sweeps a loop blocks in `poll(2)` (the crate's `readiness`
+//! module, its only `unsafe`). It waits for `POLLIN` on a socket only
+//! while it would read it (reading, and fewer than
+//! [`ServerConfig::outbox_depth`] frames in flight), for `POLLOUT`
+//! only while its outbox holds unwritten bytes, and on its
+//! [`Waker`]: a socket pair that other threads write one byte to.
+//! Sockets it waits on for nothing are left out (`fd = -1`), so a
+//! half-closed peer whose answer is still pending cannot spin it. The
+//! timeout is the nearest idle-timeout deadline, if any. A loop's
+//! waker is pinged
+//!
+//! * by the session scheduler, right after it sends an answer to a
+//!   request this loop submitted;
+//! * by the accept thread, after routing a connection to this loop;
+//! * by the [`ReplicaHub`], after it sends a write to a replica this
+//!   loop streams to;
+//! * at shutdown.
+//!
+//! The accept thread likewise blocks in `poll` on the listener and a
+//! waker of its own. An idle server therefore uses no CPU, and an
+//! answer is written as soon as it exists. The server is Unix-only.
 //!
 //! Every connection speaks the [`crate::wire`] protocol. All
 //! connections submit into a **single** session, so the whole server
@@ -68,6 +87,7 @@
 //! is handed back. Bytes a client had written but the server had not
 //! yet read are not "accepted" — exactly the PR 5 boundary.
 
+use crate::readiness::{poll, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use crate::session::{
     Request, RequestId, Response, ResponseBody, ServeSession, SessionConfig, Ticket,
 };
@@ -77,11 +97,14 @@ use cned_search::{MetricIndex, SearchError};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+pub use crate::readiness::Waker;
 
 /// The server side of the replica catch-up protocol, implemented by
 /// the persistence layer (`cned-store`) and consumed by the event
@@ -99,6 +122,14 @@ use std::time::{Duration, Instant};
 /// registration time appears in the payload, in the stream, or in
 /// both — never in neither — and replicas dedupe the overlap (by
 /// sequence number for inserts; deletes are idempotent).
+///
+/// ## Publish, then wake
+///
+/// An event loop sleeps in `poll(2)` until something wakes it, and a
+/// message on the subscription channel does not. So after each op it
+/// sends on a subscription, the hub must call [`Waker::wake`] on the
+/// waker that came with that subscription. Without it a replica served
+/// by a loop with no other traffic never hears of the write.
 pub trait ReplicaHub<S: WireSymbol>: Send + Sync {
     /// The catch-up payload for a replica that already holds `have`
     /// items, as `(mode, bytes)` chunks ([`wire::SYNC_SNAPSHOT`] /
@@ -106,8 +137,9 @@ pub trait ReplicaHub<S: WireSymbol>: Send + Sync {
     fn sync_payload(&self, have: u64) -> Result<Vec<(u8, Vec<u8>)>, SearchError>;
 
     /// Register a live-stream subscriber; every subsequently accepted
-    /// insert or delete arrives as one [`ReplOp`].
-    fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>>;
+    /// insert or delete arrives as one [`ReplOp`], each followed by a
+    /// ping of `waker` (the subscribing event loop's).
+    fn subscribe(&self, waker: Arc<Waker>) -> mpsc::Receiver<ReplOp<S>>;
 }
 
 /// One accepted write streamed from a primary's [`ReplicaHub`] to its
@@ -236,6 +268,19 @@ impl ServerConfig {
     }
 }
 
+/// State the server's threads share.
+#[derive(Default)]
+struct Shared {
+    /// Set once by [`Server::shutdown`] / `Drop`, before every waker
+    /// is pinged.
+    stop: AtomicBool,
+    /// Open connections across the pool, against the cap.
+    conns: AtomicUsize,
+    /// Event-loop sweeps so far, across the pool.
+    #[cfg(test)]
+    sweeps: AtomicUsize,
+}
+
 /// A running TCP serving front-end; dropping it (or calling
 /// [`Server::shutdown`]) stops accepting and drains in-flight work.
 pub struct Server<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> {
@@ -243,7 +288,9 @@ pub struct Server<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> {
     /// `Some` until shutdown; `Option` so [`Server::shutdown`] can
     /// move the last strong reference out past the `Drop` impl.
     session: Option<Arc<ServeSession<S, I>>>,
-    stop: Arc<AtomicBool>,
+    shared: Arc<Shared>,
+    /// One waker per event loop, then the accept thread's.
+    wakers: Vec<Arc<Waker>>,
     accept_thread: Option<JoinHandle<()>>,
     loop_threads: Vec<JoinHandle<()>>,
 }
@@ -284,75 +331,51 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
     ) -> std::io::Result<Server<S, I>> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // Polling accept: lets the accept thread observe the stop flag
-        // without a self-connect trick.
+        // The accept thread waits in `poll`, so `accept` itself must
+        // never block.
         listener.set_nonblocking(true)?;
-        let session = Arc::new(ServeSession::spawn_with(index, dist, config.session));
-        let stop = Arc::new(AtomicBool::new(false));
-        let conn_count = Arc::new(AtomicUsize::new(0));
-
         let pool = config.event_loop_threads.max(1);
-        let mut senders: Vec<mpsc::Sender<TcpStream>> = Vec::with_capacity(pool);
+        // Every waker exists before any thread starts, so a failure
+        // here leaves nothing running.
+        let wakers = (0..=pool)
+            .map(|_| Waker::new().map(Arc::new))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let session = Arc::new(ServeSession::spawn_with(index, dist, config.session));
+        let shared = Arc::new(Shared::default());
+
+        let mut routes: Vec<(mpsc::Sender<TcpStream>, Arc<Waker>)> = Vec::with_capacity(pool);
         let mut loop_threads: Vec<JoinHandle<()>> = Vec::with_capacity(pool);
-        for i in 0..pool {
+        for (i, waker) in wakers[..pool].iter().enumerate() {
             let (tx, rx) = mpsc::channel::<TcpStream>();
-            senders.push(tx);
+            routes.push((tx, Arc::clone(waker)));
+            let waker = Arc::clone(waker);
             let session = Arc::clone(&session);
-            let stop = Arc::clone(&stop);
-            let conn_count = Arc::clone(&conn_count);
+            let shared = Arc::clone(&shared);
             let config = config.clone();
             let hub = hub.clone();
             loop_threads.push(
                 std::thread::Builder::new()
                     .name(format!("cned-serve-loop-{i}"))
-                    .spawn(move || event_loop(rx, &session, &stop, &conn_count, config, hub))
+                    .spawn(move || event_loop(rx, &waker, &session, &shared, config, hub))
                     .expect("spawning an event-loop thread"),
             );
         }
 
         let accept_thread = {
-            let stop = Arc::clone(&stop);
+            let waker = Arc::clone(&wakers[pool]);
+            let shared = Arc::clone(&shared);
             let max_connections = config.max_connections.max(1);
             std::thread::Builder::new()
                 .name("cned-serve-accept".into())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((stream, _peer)) => {
-                                if conn_count.load(Ordering::Acquire) >= max_connections {
-                                    reject_connection(stream, max_connections);
-                                    continue;
-                                }
-                                conn_count.fetch_add(1, Ordering::AcqRel);
-                                let _ = stream.set_nodelay(true);
-                                if stream.set_nonblocking(true).is_err() {
-                                    conn_count.fetch_sub(1, Ordering::AcqRel);
-                                    continue;
-                                }
-                                // Round-robin across the pool; a loop
-                                // only disappears at shutdown.
-                                if senders[next % senders.len()].send(stream).is_err() {
-                                    break;
-                                }
-                                next += 1;
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(2));
-                            }
-                            // Transient accept errors (aborted
-                            // handshakes) should not kill the server.
-                            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-                        }
-                    }
-                })
+                .spawn(move || accept_loop(&listener, &waker, &routes, &shared, max_connections))
                 .expect("spawning the accept thread")
         };
 
         Ok(Server {
             addr,
             session: Some(session),
-            stop,
+            shared,
+            wakers,
             accept_thread: Some(accept_thread),
             loop_threads,
         })
@@ -382,7 +405,10 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Server<S, I> {
     }
 
     fn stop_threads(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
@@ -399,6 +425,57 @@ impl<S: WireSymbol + 'static, I: MetricIndex<S> + 'static> Drop for Server<S, I>
         }
         // The session Arc drops here; its own Drop drains accepted
         // work.
+    }
+}
+
+/// After a failed `accept` other than "nothing pending" (an aborted
+/// handshake, or no descriptors left), wait this long before trying
+/// again, with the listener out of the wait set: a listener that
+/// stays readable while `accept` keeps failing would otherwise spin
+/// the accept thread.
+const ACCEPT_RETRY: Duration = Duration::from_millis(2);
+
+/// The accept thread: accept every pending connection, route each
+/// round-robin to an event loop and wake that loop, then wait in
+/// `poll` on the listener and `waker` until shutdown.
+fn accept_loop(
+    listener: &TcpListener,
+    waker: &Waker,
+    routes: &[(mpsc::Sender<TcpStream>, Arc<Waker>)],
+    shared: &Shared,
+    max_connections: usize,
+) {
+    let mut next = 0usize;
+    while !shared.stop.load(Ordering::Acquire) {
+        let failed = match listener.accept() {
+            Ok((stream, _peer)) => {
+                if shared.conns.load(Ordering::Acquire) >= max_connections {
+                    reject_connection(stream, max_connections);
+                    continue;
+                }
+                shared.conns.fetch_add(1, Ordering::AcqRel);
+                let _ = stream.set_nodelay(true);
+                if stream.set_nonblocking(true).is_err() {
+                    shared.conns.fetch_sub(1, Ordering::AcqRel);
+                    continue;
+                }
+                // A loop only disappears at shutdown.
+                let (route, loop_waker) = &routes[next % routes.len()];
+                if route.send(stream).is_err() {
+                    return;
+                }
+                loop_waker.wake();
+                next += 1;
+                continue;
+            }
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        };
+        let mut fds = [
+            PollFd::new(listener.as_raw_fd(), if failed { 0 } else { POLLIN }),
+            PollFd::new(waker.fd(), POLLIN),
+        ];
+        let _ = poll(&mut fds, failed.then_some(ACCEPT_RETRY));
+        waker.drain();
     }
 }
 
@@ -533,14 +610,14 @@ impl<S: WireSymbol> Conn<S> {
     /// *first*, then read the catch-up payload from durable state
     /// (the order that makes the handoff gap-free; see [`ReplicaHub`])
     /// and queue it as [`wire::kind::RESP_SYNC`] frames.
-    fn register_replica(
+    fn register_replica<I: MetricIndex<S>>(
         &mut self,
         id: RequestId,
         have: u64,
-        hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        lp: &LoopCtx<'_, S, I>,
         payload: &mut Vec<u8>,
     ) {
-        let Some(hub) = hub else {
+        let Some(hub) = lp.hub else {
             self.inflight.push_back(Pending::One {
                 id,
                 slot: SlotState::Done(ResponseBody::Failed {
@@ -551,7 +628,7 @@ impl<S: WireSymbol> Conn<S> {
             });
             return;
         };
-        let rx = hub.subscribe();
+        let rx = hub.subscribe(Arc::clone(lp.waker));
         match hub.sync_payload(have) {
             Ok(chunks) => {
                 let last = chunks.len().saturating_sub(1);
@@ -582,45 +659,43 @@ impl<S: WireSymbol> Conn<S> {
     }
 
     /// Drain the live write stream (if this connection is a
-    /// registered replica) into the outbox, bounded by
-    /// [`REPL_OUTBOX_BYTES`]. Returns whether anything was queued.
-    fn repl_sweep(&mut self, payload: &mut Vec<u8>) -> bool {
-        let Some(repl) = &self.repl else {
-            return false;
-        };
-        let mut moved = false;
-        while self.outbox.len() - self.sent < REPL_OUTBOX_BYTES {
-            match repl.rx.try_recv() {
-                Ok(op) => {
-                    match op {
-                        ReplOp::Insert { seq, item } => {
-                            wire::encode_repl_insert(repl.id, seq, &item, payload)
-                        }
-                        ReplOp::Delete { index } => {
-                            wire::encode_repl_delete(repl.id, index, payload)
-                        }
-                    }
-                    if wire::write_frame_unflushed(&mut self.outbox, payload).is_err() {
-                        self.reading = false;
-                        break;
-                    }
-                    moved = true;
+    /// registered replica) into the outbox. Past [`REPL_OUTBOX_BYTES`]
+    /// unwritten bytes it writes before encoding more; while the
+    /// socket takes nothing, the rest stays queued in the hub channel
+    /// and the outbox's `POLLOUT` wait brings the loop back here.
+    fn repl_sweep(&mut self, payload: &mut Vec<u8>) {
+        while let Some(repl) = &self.repl {
+            if self.outbox.len() - self.sent >= REPL_OUTBOX_BYTES {
+                self.write_sweep();
+                if self.dead || self.outbox.len() - self.sent >= REPL_OUTBOX_BYTES {
+                    return;
                 }
-                Err(_) => break,
+                continue;
+            }
+            let Ok(op) = repl.rx.try_recv() else {
+                return;
+            };
+            match op {
+                ReplOp::Insert { seq, item } => {
+                    wire::encode_repl_insert(repl.id, seq, &item, payload)
+                }
+                ReplOp::Delete { index } => wire::encode_repl_delete(repl.id, index, payload),
+            }
+            if wire::write_frame_unflushed(&mut self.outbox, payload).is_err() {
+                self.reading = false;
+                return;
             }
         }
-        moved
     }
 
     /// Pop and submit every complete frame in the reassembly buffer,
     /// up to the backpressure bound; `false` on a protocol error.
     fn drain_frames<I: MetricIndex<S>>(
         &mut self,
-        session: &ServeSession<S, I>,
-        config: &ServerConfig,
-        hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        lp: &LoopCtx<'_, S, I>,
         payload: &mut Vec<u8>,
     ) -> bool {
+        let config = lp.config;
         while self.inflight.len() < config.outbox_depth {
             match self.frames.next_frame() {
                 Ok(Some(frame)) => match wire::decode_request_frame::<S>(&frame) {
@@ -632,7 +707,7 @@ impl<S: WireSymbol> Conn<S> {
                             });
                             continue;
                         }
-                        let slot = match session.submit(request) {
+                        let slot = match lp.session.submit_waking(request, lp.waker) {
                             Ok(ticket) => SlotState::Waiting(ticket),
                             // Admission failures are *responses*, not
                             // disconnects — unchanged from PR 5.
@@ -650,7 +725,7 @@ impl<S: WireSymbol> Conn<S> {
                             });
                             continue;
                         }
-                        match session.submit_batch(requests) {
+                        match lp.session.submit_batch_waking(requests, lp.waker) {
                             Ok(tickets) => self.inflight.push_back(Pending::Batch {
                                 id,
                                 slots: tickets.into_iter().map(SlotState::Waiting).collect(),
@@ -664,7 +739,7 @@ impl<S: WireSymbol> Conn<S> {
                         }
                     }
                     Ok((id, WireRequest::Sync { have })) => {
-                        self.register_replica(id, have, hub, payload);
+                        self.register_replica(id, have, lp, payload);
                     }
                     Err(_) => return false,
                 },
@@ -675,50 +750,48 @@ impl<S: WireSymbol> Conn<S> {
         true
     }
 
-    /// Non-blocking read sweep: pull whatever the socket has, feed
-    /// the frame buffer, submit complete frames. Returns whether any
-    /// bytes moved.
+    /// Read sweep: submit the complete frames already buffered, then,
+    /// if the socket is `readable`, pull what it has and submit those
+    /// frames too, up to the backpressure bound. Returns whether the
+    /// socket may still hold bytes: `false` once a read came back
+    /// empty-handed (or the connection stopped reading).
     fn read_sweep<I: MetricIndex<S>>(
         &mut self,
+        readable: bool,
         chunk: &mut [u8],
-        session: &ServeSession<S, I>,
-        config: &ServerConfig,
-        hub: Option<&Arc<dyn ReplicaHub<S>>>,
+        lp: &LoopCtx<'_, S, I>,
         payload: &mut Vec<u8>,
     ) -> bool {
         if !self.reading || self.dead {
             return false;
         }
-        let mut moved = false;
         loop {
             // Frames may already be buffered from a sweep that hit the
             // backpressure bound; submit them before reading more.
-            if !self.drain_frames(session, config, hub, payload) {
+            if !self.drain_frames(lp, payload) {
                 self.reading = false; // untrusted stream
-                break;
+                return false;
             }
-            if self.inflight.len() >= config.outbox_depth {
-                break; // backpressure: let TCP flow control push back
+            if !readable || self.inflight.len() >= lp.config.outbox_depth {
+                return readable; // backpressure: let TCP flow control push back
             }
             match self.stream.read(chunk) {
                 Ok(0) => {
                     self.reading = false; // peer closed its write side
-                    break;
+                    return false;
                 }
                 Ok(n) => {
-                    moved = true;
                     self.last_activity = Instant::now();
                     self.frames.extend(&chunk[..n]);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.reading = false;
-                    break;
+                    return false;
                 }
             }
         }
-        moved
     }
 
     /// Pop resolved responses off the front of the in-flight queue
@@ -770,12 +843,11 @@ impl<S: WireSymbol> Conn<S> {
 
     /// Push the outbox into the socket — the whole buffer in as few
     /// `write(2)` calls as the socket accepts (usually one), instead
-    /// of one flush per frame. Returns whether any bytes moved.
-    fn write_sweep(&mut self) -> bool {
+    /// of one flush per frame.
+    fn write_sweep(&mut self) {
         if self.sent == self.outbox.len() {
-            return false;
+            return;
         }
-        let mut moved = false;
         loop {
             match self.stream.write(&self.outbox[self.sent..]) {
                 Ok(0) => {
@@ -784,7 +856,6 @@ impl<S: WireSymbol> Conn<S> {
                 }
                 Ok(n) => {
                     self.sent += n;
-                    moved = true;
                     self.last_activity = Instant::now();
                     if self.sent == self.outbox.len() {
                         self.outbox.clear();
@@ -800,7 +871,23 @@ impl<S: WireSymbol> Conn<S> {
                 }
             }
         }
-        moved
+    }
+
+    /// When this connection is reaped as idle, if it stays as it is:
+    /// `None` unless it is reading with nothing owed in either
+    /// direction. Registered replicas are exempt — a quiet insert
+    /// stream is not an abandoned socket.
+    fn idle_deadline(&self, config: &ServerConfig, stopping: bool) -> Option<Instant> {
+        let idle = self.reading
+            && !stopping
+            && self.repl.is_none()
+            && self.inflight.is_empty()
+            && self.sent == self.outbox.len();
+        if idle {
+            self.last_activity.checked_add(config.idle_timeout)
+        } else {
+            None
+        }
     }
 
     /// End-of-sweep lifecycle: mark drained/timed-out connections for
@@ -809,21 +896,30 @@ impl<S: WireSymbol> Conn<S> {
         if self.dead {
             return;
         }
-        let drained = self.inflight.is_empty() && self.sent == self.outbox.len();
         if !self.reading {
             // EOF/protocol error/shutdown: close once everything
             // accepted has been answered and written.
-            self.dead = drained;
-        } else if !stopping
-            && drained
-            && self.repl.is_none()
-            && self.last_activity.elapsed() >= config.idle_timeout
+            self.dead = self.inflight.is_empty() && self.sent == self.outbox.len();
+        } else if self
+            .idle_deadline(config, stopping)
+            .is_some_and(|deadline| Instant::now() >= deadline)
         {
-            // Idle: nothing owed in either direction. Registered
-            // replicas are exempt — a quiet insert stream is not an
-            // abandoned socket.
             self.dead = true;
         }
+    }
+
+    /// What the loop waits on this socket for: `POLLIN` while it
+    /// would read, `POLLOUT` while the outbox holds unwritten bytes,
+    /// and nothing otherwise (see [`PollFd::new`]).
+    fn interest(&self, config: &ServerConfig) -> PollFd {
+        let mut events = 0;
+        if self.reading && self.inflight.len() < config.outbox_depth {
+            events |= POLLIN;
+        }
+        if self.sent < self.outbox.len() {
+            events |= POLLOUT;
+        }
+        PollFd::new(self.stream.as_raw_fd(), events)
     }
 }
 
@@ -842,44 +938,78 @@ fn read_only_rejection() -> ResponseBody {
     }
 }
 
-/// One event-loop thread: drives every connection the accept thread
-/// routed to it with read → resolve → write sweeps until shutdown.
+/// What every connection of one event loop shares.
+struct LoopCtx<'a, S: WireSymbol + 'static, I: MetricIndex<S> + 'static> {
+    session: &'a ServeSession<S, I>,
+    config: &'a ServerConfig,
+    hub: Option<&'a Arc<dyn ReplicaHub<S>>>,
+    /// This loop's waker: submitted requests and replica
+    /// subscriptions carry it, so their answers and writes wake us.
+    waker: &'a Arc<Waker>,
+}
+
+/// One event-loop thread: sweeps every connection the accept thread
+/// routed to it, then waits in `poll` until a socket it cares about
+/// is ready, its waker is pinged, or an idle deadline passes; until
+/// shutdown, when it drains every connection and returns.
 fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
     rx: mpsc::Receiver<TcpStream>,
+    waker: &Arc<Waker>,
     session: &ServeSession<S, I>,
-    stop: &AtomicBool,
-    conn_count: &AtomicUsize,
+    shared: &Shared,
     config: ServerConfig,
     hub: Option<Arc<dyn ReplicaHub<S>>>,
 ) {
+    let lp = LoopCtx {
+        session,
+        config: &config,
+        hub: hub.as_ref(),
+        waker,
+    };
     let mut conns: Vec<Conn<S>> = Vec::new();
+    // The last wait's entries: the waker, then `conns` in order.
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut chunk = vec![0u8; 16 * 1024];
     let mut payload: Vec<u8> = Vec::new();
     loop {
-        let stopping = stop.load(Ordering::Acquire);
-        let mut active = false;
+        #[cfg(test)]
+        shared.sweeps.fetch_add(1, Ordering::Relaxed);
+        // Consume the wakes before looking at what they announce: a
+        // wake sent after this point stays pending for the next wait.
+        waker.drain();
+        let stopping = shared.stop.load(Ordering::Acquire);
 
         // Admit (or, when stopping, refuse) newly routed connections.
         while let Ok(stream) = rx.try_recv() {
             if stopping {
                 let _ = stream.shutdown(std::net::Shutdown::Both);
-                conn_count.fetch_sub(1, Ordering::AcqRel);
+                shared.conns.fetch_sub(1, Ordering::AcqRel);
             } else {
                 conns.push(Conn::new(stream));
-                active = true;
             }
         }
 
-        for conn in conns.iter_mut() {
+        for (i, conn) in conns.iter_mut().enumerate() {
             if stopping {
                 conn.reading = false; // drain, then close
             }
-            active |= conn.read_sweep(&mut chunk, session, &config, hub.as_ref(), &mut payload);
-            active |= conn.resolve_sweep(&mut payload);
-            if !stopping {
-                active |= conn.repl_sweep(&mut payload);
+            // A connection admitted since the last wait was not part
+            // of it: try its socket at once.
+            let mut readable = fds
+                .get(i + 1)
+                .is_none_or(|fd| fd.revents() & (POLLIN | POLLHUP | POLLERR) != 0);
+            readable = conn.read_sweep(readable, &mut chunk, &lp, &mut payload);
+            // Frames answered at once (admission failures) wake no
+            // one, and resolving may make room for frames the
+            // backpressure bound left buffered: repeat until nothing
+            // resolves, so no frame is stranded without a wake to come.
+            while conn.resolve_sweep(&mut payload) {
+                readable = conn.read_sweep(readable, &mut chunk, &lp, &mut payload);
             }
-            active |= conn.write_sweep();
+            if !stopping {
+                conn.repl_sweep(&mut payload);
+            }
+            conn.write_sweep();
             conn.reap_check(&config, stopping);
         }
 
@@ -894,18 +1024,26 @@ fn event_loop<S: WireSymbol, I: MetricIndex<S>>(
         });
         let reaped = before - conns.len();
         if reaped > 0 {
-            conn_count.fetch_sub(reaped, Ordering::AcqRel);
-            active = true;
+            shared.conns.fetch_sub(reaped, Ordering::AcqRel);
         }
 
         if stopping && conns.is_empty() {
             return;
         }
-        if !active {
-            // Nothing moved anywhere this sweep: yield briefly. The
-            // sleep bounds idle CPU; actual traffic is swept at full
-            // speed because any progress skips it.
-            std::thread::sleep(Duration::from_micros(500));
+
+        fds.clear();
+        fds.push(PollFd::new(waker.fd(), POLLIN));
+        let mut deadline: Option<Instant> = None;
+        for conn in &conns {
+            fds.push(conn.interest(&config));
+            if let Some(d) = conn.idle_deadline(&config, stopping) {
+                deadline = Some(deadline.map_or(d, |nearest| nearest.min(d)));
+            }
         }
+        let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let _ = poll(&mut fds, timeout);
     }
 }
+
+#[cfg(test)]
+mod tests;

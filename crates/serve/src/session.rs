@@ -39,6 +39,7 @@
 //! correlate by identity, never by queue position.
 
 use crate::ordered::{rank, OrderedMutex};
+use crate::readiness::Waker;
 use crate::sharded::ShardedIndex;
 use cned_core::metric::Distance;
 use cned_core::Symbol;
@@ -270,8 +271,27 @@ impl Ticket {
     }
 }
 
-/// One queued request: id, payload, and the ticket's delivery channel.
-type Slot<S> = (RequestId, Request<S>, mpsc::Sender<Response>);
+/// Where one request's answer goes: its ticket's channel, plus the
+/// waker of the event loop that submitted it (`None` for in-process
+/// submitters, which block on or poll the ticket themselves).
+struct Reply {
+    tx: mpsc::Sender<Response>,
+    waker: Option<Arc<Waker>>,
+}
+
+impl Reply {
+    /// Deliver the answer, then wake the submitting loop so it writes
+    /// the answer out now. A dropped ticket just discards it.
+    fn send(&self, response: Response) {
+        let _ = self.tx.send(response);
+        if let Some(waker) = &self.waker {
+            waker.wake();
+        }
+    }
+}
+
+/// One queued request: id, payload, and where its answer goes.
+type Slot<S> = (RequestId, Request<S>, Reply);
 
 struct SessionState<S: Symbol> {
     queue: VecDeque<Slot<S>>,
@@ -306,7 +326,12 @@ impl<S: Symbol> SessionShared<S> {
 
     /// Enqueue `request` if the queue holds fewer than `depth`
     /// entries, handing back the ticket for its response.
-    fn submit(&self, depth: usize, request: Request<S>) -> Result<Ticket, SearchError> {
+    fn submit(
+        &self,
+        depth: usize,
+        request: Request<S>,
+        waker: Option<Arc<Waker>>,
+    ) -> Result<Ticket, SearchError> {
         let mut state = self.state.lock();
         if state.draining {
             return Err(SearchError::Shutdown);
@@ -317,7 +342,7 @@ impl<S: Symbol> SessionShared<S> {
         let id = RequestId(state.next_id);
         state.next_id += 1;
         let (tx, rx) = mpsc::channel();
-        state.queue.push_back((id, request, tx));
+        state.queue.push_back((id, request, Reply { tx, waker }));
         self.work.notify_all();
         Ok(Ticket::new(id, rx))
     }
@@ -333,6 +358,7 @@ impl<S: Symbol> SessionShared<S> {
         &self,
         depth: usize,
         requests: Vec<Request<S>>,
+        waker: Option<Arc<Waker>>,
     ) -> Result<Vec<Ticket>, SearchError> {
         let mut state = self.state.lock();
         if state.draining {
@@ -347,7 +373,8 @@ impl<S: Symbol> SessionShared<S> {
                 let id = RequestId(state.next_id);
                 state.next_id += 1;
                 let (tx, rx) = mpsc::channel();
-                state.queue.push_back((id, request, tx));
+                let waker = waker.clone();
+                state.queue.push_back((id, request, Reply { tx, waker }));
                 Ticket::new(id, rx)
             })
             .collect();
@@ -481,7 +508,7 @@ fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
             }
         };
         match chunk {
-            Chunk::Barrier((id, request, tx)) => {
+            Chunk::Barrier((id, request, reply)) => {
                 let body = match request {
                     Request::Insert { item } => match index.as_insertable() {
                         // A durable index reports a failed WAL commit
@@ -504,16 +531,15 @@ fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
                     },
                     _ => unreachable!("Chunk::Barrier holds an insert or delete"),
                 };
-                // A dropped ticket just discards its response.
-                let _ = tx.send(Response { id, body });
+                reply.send(Response { id, body });
             }
             Chunk::Queries(batch) => {
                 let index: &I = index;
                 let workers = workers_for(batch.len());
                 if workers <= 1 {
-                    for (id, request, tx) in &batch {
+                    for (id, request, reply) in &batch {
                         let body = answer(index, request, dist);
-                        let _ = tx.send(Response { id: *id, body });
+                        reply.send(Response { id: *id, body });
                     }
                 } else {
                     // Workers pull whole queries from a shared cursor
@@ -526,11 +552,11 @@ fn scheduler_loop<S: Symbol, I: MetricIndex<S> + ?Sized>(
                             let batch = &batch;
                             scope.spawn(move || loop {
                                 let t = cursor.fetch_add(1, Ordering::Relaxed);
-                                let Some((id, request, tx)) = batch.get(t) else {
+                                let Some((id, request, reply)) = batch.get(t) else {
                                     break;
                                 };
                                 let body = answer(index, request, dist);
-                                let _ = tx.send(Response { id: *id, body });
+                                reply.send(Response { id: *id, body });
                             });
                         }
                     });
@@ -613,7 +639,18 @@ impl<S: Symbol + 'static, I: MetricIndex<S> + 'static> ServeSession<S, I> {
     /// [`SearchError::Shutdown`] once [`ServeSession::shutdown`] has
     /// begun.
     pub fn submit(&self, request: Request<S>) -> Result<Ticket, SearchError> {
-        self.shared.submit(self.depth, request)
+        self.shared.submit(self.depth, request, None)
+    }
+
+    /// [`ServeSession::submit`] for an event loop: the scheduler pings
+    /// `waker` right after it sends the answer.
+    pub(crate) fn submit_waking(
+        &self,
+        request: Request<S>,
+        waker: &Arc<Waker>,
+    ) -> Result<Ticket, SearchError> {
+        self.shared
+            .submit(self.depth, request, Some(Arc::clone(waker)))
     }
 
     /// Enqueue a whole batch of requests in one admission decision:
@@ -624,7 +661,18 @@ impl<S: Symbol + 'static, I: MetricIndex<S> + 'static> ServeSession<S, I> {
     /// the scheduler answers its queries as one parallel chunk — this
     /// is the entry point wire-level batch frames coalesce into.
     pub fn submit_batch(&self, requests: Vec<Request<S>>) -> Result<Vec<Ticket>, SearchError> {
-        self.shared.submit_batch(self.depth, requests)
+        self.shared.submit_batch(self.depth, requests, None)
+    }
+
+    /// [`ServeSession::submit_batch`] for an event loop: the scheduler
+    /// pings `waker` right after it sends each answer.
+    pub(crate) fn submit_batch_waking(
+        &self,
+        requests: Vec<Request<S>>,
+        waker: &Arc<Waker>,
+    ) -> Result<Vec<Ticket>, SearchError> {
+        self.shared
+            .submit_batch(self.depth, requests, Some(Arc::clone(waker)))
     }
 
     /// Requests accepted but not yet picked up by the scheduler.
@@ -682,12 +730,12 @@ impl<S: Symbol + 'static> Clone for SessionHandle<S> {
 impl<S: Symbol + 'static> SessionHandle<S> {
     /// [`ServeSession::submit`] through the handle.
     pub fn submit(&self, request: Request<S>) -> Result<Ticket, SearchError> {
-        self.shared.submit(self.depth, request)
+        self.shared.submit(self.depth, request, None)
     }
 
     /// [`ServeSession::submit_batch`] through the handle.
     pub fn submit_batch(&self, requests: Vec<Request<S>>) -> Result<Vec<Ticket>, SearchError> {
-        self.shared.submit_batch(self.depth, requests)
+        self.shared.submit_batch(self.depth, requests, None)
     }
 
     /// Requests accepted but not yet picked up by the scheduler.

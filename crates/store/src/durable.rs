@@ -10,7 +10,9 @@
 //!    durable, so disk is always a superset of acknowledged state.
 //! 3. **Feed publish** — replica subscribers receive the op strictly
 //!    after the durable write, which is what makes the hub's
-//!    subscribe-then-read-disk registration protocol gap-free.
+//!    subscribe-then-read-disk registration protocol gap-free. Each
+//!    send is followed by a ping of the subscriber's event-loop waker
+//!    (the loop sleeps until something wakes it).
 //! 4. **Threshold snapshot** — once `snapshot_every` WAL entries
 //!    accumulate, the index is re-snapshotted and the WAL truncated.
 //!
@@ -25,7 +27,7 @@
 use cned_core::metric::{Distance, PreparedQuery};
 use cned_search::{AnyCollector, InsertableIndex, MetricIndex, SearchError, SearchStats};
 use cned_serve::ordered::{rank, OrderedMutex};
-use cned_serve::server::ReplOp;
+use cned_serve::server::{ReplOp, Waker};
 use cned_serve::wire::WireSymbol;
 use std::path::{Path, PathBuf};
 use std::sync::{mpsc, Arc};
@@ -45,9 +47,9 @@ pub const WAL_FILE: &str = "wal.cned";
 /// [`crate::StoreHub`] (event-loop threads).
 pub(crate) struct StoreShared<S: WireSymbol> {
     pub(crate) dir: PathBuf,
-    /// Live replica subscriptions. Rank 30: taken alone, briefly, by
-    /// either side.
-    pub(crate) subs: OrderedMutex<Vec<mpsc::Sender<ReplOp<S>>>>,
+    /// Live replica subscriptions, each with its event loop's waker.
+    /// Rank 30: taken alone, briefly, by either side.
+    pub(crate) subs: OrderedMutex<Vec<Subscriber<S>>>,
     /// Guards the *install* of new file states (snapshot rename + WAL
     /// truncate) against concurrent sync-payload reads. Plain appends
     /// don't take it — a torn WAL tail is harmless to a reader, but an
@@ -65,19 +67,30 @@ impl<S: WireSymbol> StoreShared<S> {
         self.dir.join(WAL_FILE)
     }
 
-    /// Deliver one durable write to every live subscriber, dropping
-    /// subscriptions whose receiver has gone away.
+    /// Deliver one durable write to every live subscriber and wake
+    /// its event loop, dropping subscriptions whose receiver has gone
+    /// away.
     fn publish(&self, op: &ReplOp<S>) {
         let mut subs = self.subs.lock();
-        subs.retain(|tx| tx.send(op.clone()).is_ok());
+        subs.retain(|(tx, waker)| {
+            let live = tx.send(op.clone()).is_ok();
+            if live {
+                waker.wake();
+            }
+            live
+        });
     }
 
-    pub(crate) fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>> {
+    pub(crate) fn subscribe(&self, waker: Arc<Waker>) -> mpsc::Receiver<ReplOp<S>> {
         let (tx, rx) = mpsc::channel();
-        self.subs.lock().push(tx);
+        self.subs.lock().push((tx, waker));
         rx
     }
 }
+
+/// One replica subscription: its channel and the waker of the event
+/// loop that drains it.
+pub(crate) type Subscriber<S> = (mpsc::Sender<ReplOp<S>>, Arc<Waker>);
 
 /// A persistent index: a [`StoredIndex`] plus its data dir, WAL and
 /// snapshot policy. See the module docs for the insert pipeline.

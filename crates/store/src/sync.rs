@@ -12,7 +12,8 @@
 //!
 //! * the event loop **subscribes the replica first**, then asks for
 //!   the payload ([`cned_serve::ReplicaHub`]'s contract);
-//! * `Durable` **publishes only after** the durable write;
+//! * `Durable` **publishes only after** the durable write, and wakes
+//!   the subscribing event loop after each send;
 //! * so every insert is either in the files the hub reads, or arrives
 //!   through the subscription (or both — replicas dedupe by sequence
 //!   number, so overlap is harmless, and gaps are impossible).
@@ -23,7 +24,7 @@
 //! lock.
 
 use cned_search::SearchError;
-use cned_serve::server::{ReplOp, ReplicaHub};
+use cned_serve::server::{ReplOp, ReplicaHub, Waker};
 use cned_serve::wire::{WireSymbol, SYNC_ITEMS, SYNC_SNAPSHOT};
 use std::sync::{mpsc, Arc};
 
@@ -89,8 +90,8 @@ impl<S: WireSymbol> ReplicaHub<S> for StoreHub<S> {
         self.payload(have).map_err(SearchError::from)
     }
 
-    fn subscribe(&self) -> mpsc::Receiver<ReplOp<S>> {
-        self.shared.subscribe()
+    fn subscribe(&self, waker: Arc<Waker>) -> mpsc::Receiver<ReplOp<S>> {
+        self.shared.subscribe(waker)
     }
 }
 

@@ -169,3 +169,62 @@ fn primary_and_replica_agree_under_64_concurrent_connections() {
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&replica_dir);
 }
+
+#[test]
+fn a_replica_on_another_event_loop_hears_each_write() {
+    let primary_dir = fresh_dir("loops-primary");
+    let replica_dir = fresh_dir("loops-replica");
+
+    let db = Database::builder(words())
+        .metric(Metric::Levenshtein)
+        .build()
+        .unwrap();
+    // Two event loops take connections in turn: the replica's
+    // registration is the primary's first connection (loop 0), the
+    // writer its second (loop 1). Nothing else talks to the primary,
+    // so only the hub's wake tells loop 0 that a write is waiting.
+    let primary = db
+        .serve_with(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .data_dir(&primary_dir)
+                .event_loop_threads(2),
+        )
+        .unwrap();
+    let p_addr = primary.local_addr();
+    let replica =
+        Database::<u8>::replica(p_addr, &replica_dir, "127.0.0.1:0", ServerConfig::default())
+            .unwrap();
+    let mut writer: Client<u8> = Client::connect(p_addr).unwrap();
+    let bound = Duration::from_secs(5);
+
+    let index = writer.insert(b"tapa").unwrap();
+    let deadline = Instant::now() + bound;
+    while replica.applied() < words().len() as u64 + 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the replica never heard the insert"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    assert!(writer.delete(index).unwrap());
+    // The delete has landed once "tapa" is no longer its own nearest
+    // neighbour on the replica.
+    let mut reader: Client<u8> = Client::connect(replica.local_addr()).unwrap();
+    let deadline = Instant::now() + bound;
+    while reader.nn(b"tapa").unwrap().0.map(|n| n.index) == Some(index) {
+        assert!(
+            Instant::now() < deadline,
+            "the replica never heard the delete"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    drop(reader);
+    drop(writer);
+    drop(replica);
+    drop(primary);
+    let _ = std::fs::remove_dir_all(&primary_dir);
+    let _ = std::fs::remove_dir_all(&replica_dir);
+}
